@@ -51,9 +51,11 @@ pub const INFLIGHT_LEVELS: [usize; 3] = [1, 4, 16];
 /// Current artifact schema version. Version 2 added `p95_ns` to every
 /// wall-clock stats block and, on the executor artifact,
 /// `speedup_vs_1w`/`fast_path_fires` per thread entry plus
-/// `batches`/`fast_path` per worker. Version 3 records macro-op fusion:
-/// a top-level `fused` flag on every artifact (the suites run fused by
-/// default and unfused under `--no-fuse`), `macro_fires`/`ops_elided`
+/// `batches`/`fast_path` per worker (the two `fast_path` counts are no
+/// longer written or required: the threaded engine has no fast path).
+/// Version 3 records macro-op fusion: a top-level `fused` flag on every
+/// artifact (the suites run fused by default and unfused under
+/// `--no-fuse`), `macro_fires`/`ops_elided`
 /// per executor thread entry plus `fired_unfused` per workload, and
 /// `macros`/`fused_ops` per translate config. Version 4 records the
 /// compiled-graph lowering ([`cf2df_machine::compile`]): every executor
@@ -323,8 +325,7 @@ pub fn executor_artifact(quick: bool, fuse: bool) -> Result<String, String> {
                     .num("steals", w.steals)
                     .num("parks", w.parks)
                     .num("unparks", w.unparks)
-                    .num("batches", w.batches)
-                    .num("fast_path", w.fast_path);
+                    .num("batches", w.batches);
                 o.finish()
             }));
             let mut o = Obj::new();
@@ -334,7 +335,6 @@ pub fn executor_artifact(quick: bool, fuse: bool) -> Result<String, String> {
                 .num("fired", out.fired)
                 .num("tokens_processed", m.tokens_processed)
                 .num("merged", m.merged)
-                .num("fast_path_fires", m.fast_path_fires)
                 .num("macro_fires", m.macro_fires)
                 .num("ops_elided", m.ops_elided)
                 .num("max_pending_slots", m.max_pending_slots)
@@ -791,7 +791,6 @@ fn validate_executor_value(doc: &Json) -> Result<(), String> {
                 if speedup <= 0.0 {
                     return Err(format!("{ctx}: speedup_vs_1w must be positive"));
                 }
-                req_num(t, &ctx, "fast_path_fires")?;
             }
             if version >= 3 {
                 req_num(t, &ctx, "macro_fires")?;
@@ -819,7 +818,6 @@ fn validate_executor_value(doc: &Json) -> Result<(), String> {
                 }
                 if version >= 2 {
                     req_num(pw, &pctx, "batches")?;
-                    req_num(pw, &pctx, "fast_path")?;
                 }
             }
         }
@@ -972,7 +970,7 @@ mod tests {
             let processed = t.get("tokens_processed").unwrap().as_num().unwrap();
             assert_eq!(processed, fired + merged);
             assert!(t.get("speedup_vs_1w").unwrap().as_num().unwrap() > 0.0);
-            assert!(t.get("fast_path_fires").unwrap().as_num().is_some());
+            assert!(t.get("fast_path_fires").is_none(), "no fast path to report");
             // Fusion accounting: elided ops explain the gap to the
             // unfused firing count recorded on the workload.
             let elided = t.get("ops_elided").unwrap().as_num().unwrap();

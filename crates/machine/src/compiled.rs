@@ -158,9 +158,6 @@ pub mod flag {
     /// Merge-like deposit discipline: any single token fires the op
     /// (`Merge`, `LoopEntry`).
     pub const MERGE_LIKE: u8 = 1 << 0;
-    /// Eligible for the threaded executor's worker-local two-input
-    /// rendezvous fast path.
-    pub const FAST_OK: u8 = 1 << 1;
     /// A duplicated token into this op is detectable by the
     /// waiting-matching store (true rendezvous, ≥ 2 live inputs).
     pub const DUP_OK: u8 = 1 << 2;
@@ -176,12 +173,6 @@ impl OpDesc {
     #[inline]
     pub fn merge_like(&self) -> bool {
         self.flags & flag::MERGE_LIKE != 0
-    }
-
-    /// Fast-path eligible two-input rendezvous?
-    #[inline]
-    pub fn fast_ok(&self) -> bool {
-        self.flags & flag::FAST_OK != 0
     }
 
     /// Duplicate-detectable rendezvous?
@@ -334,9 +325,6 @@ pub fn compile(g: &Dfg) -> Result<CompiledGraph, MachineError> {
         let mut flags = 0u8;
         if merge_like {
             flags |= flag::MERGE_LIKE;
-        }
-        if !merge_like && n_inputs == 2 && live == 2 {
-            flags |= flag::FAST_OK;
         }
         if !merge_like && live >= 2 {
             flags |= flag::DUP_OK;
@@ -1003,7 +991,7 @@ mod tests {
         assert_eq!(d.n_inputs, 2);
         assert_eq!(d.live, 1, "one port is immediate");
         assert!(d.is_hot());
-        assert!(!d.fast_ok(), "an immediate port disqualifies the fast path");
+        assert!(!d.dup_ok(), "an immediate port leaves one live input");
         assert!(!d.merge_like());
         assert_eq!(cg.imm(add, 1), Some(41));
         assert_eq!(cg.imm(add, 0), None);
@@ -1012,9 +1000,8 @@ mod tests {
         assert!(ld.is_memory());
         assert!(!ld.is_hot());
         assert_eq!(cg.start(), OpId(0));
-        // Store: port 0 value, port 1 access — both live → fast-path + dup ok.
+        // Store: port 0 value, port 1 access — both live → dup ok.
         let st = cg.desc(OpId(3));
-        assert!(st.fast_ok());
         assert!(st.dup_ok());
     }
 

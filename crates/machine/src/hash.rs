@@ -128,22 +128,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` on the integer hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// Mix a single `u64` through one Fx round — for callers that need a
-/// well-dispersed value (shard selection) without a full `Hasher` dance.
-#[inline]
-pub fn mix64(word: u64) -> u64 {
-    word.rotate_left(5).wrapping_mul(SEED)
-}
-
-/// Shard index for a packed key: one Fx round, then reduce modulo the
-/// shard count. Used by the sharded rendezvous tables — including the
-/// invocation-multiplexed one, where the invocation bits sit in the
-/// *high* half of the low word and a plain `key % n` would map every
-/// invocation's root-tag traffic onto the same few shards.
-#[inline]
-pub fn shard64(word: u64, n_shards: usize) -> usize {
-    (mix64(word) % n_shards.max(1) as u64) as usize
-}
 
 #[cfg(test)]
 mod tests {
@@ -183,17 +167,6 @@ mod tests {
         let mut c = FxHasher::default();
         c.write(b"hello");
         assert_ne!(a.finish(), c.finish());
-    }
-
-    #[test]
-    fn shard64_disperses_high_bit_keys() {
-        // Keys differing only in their top invocation bits (the serve
-        // key layout) must still spread across shards.
-        let shards: std::collections::HashSet<usize> = (0..16u64)
-            .map(|inv| shard64((inv << 60) | 3, 32))
-            .collect();
-        assert!(shards.len() > 8, "only {} shards hit", shards.len());
-        assert_eq!(shard64(7, 0), 0, "degenerate shard count is clamped");
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //!
 //! [`vonneumann`] provides the sequential control-flow interpreter used as
 //! the baseline (the "thread descriptor" execution the paper contrasts
-//! with), and [`parallel`] a multi-threaded token-pushing executor
-//! demonstrating real parallel execution of the same graphs, built on the
-//! std-only work-stealing [`scheduler`].
+//! with). The threaded executor demonstrates real parallel execution of
+//! the same graphs on the std-only work-stealing [`scheduler`]: one
+//! engine ([`serve`](mod@serve)) whose tokens carry an invocation
+//! index, so a solo run ([`parallel::run_threaded`]) is one admitted
+//! invocation and a serving session ([`serve::serve`]) multiplexes many
+//! on one pool.
 
 pub mod chaos;
 pub mod compiled;
@@ -47,9 +50,8 @@ pub use exec::{run, run_compiled, run_traced, MachineConfig, MachineError, Outco
 pub use hash::{FxBuildHasher, FxHashMap};
 pub use metrics::{ExecStats, ParMetrics, ServeStats, WorkerStats};
 pub use parallel::{
-    run_threaded, run_threaded_compiled, run_threaded_compiled_pooled_with, run_threaded_pooled,
-    run_threaded_pooled_with, run_threaded_traced, run_threaded_with, ExecutorPool, FireEvent,
-    ParConfig, ParOutcome,
+    run_threaded, run_threaded_compiled_pooled_with, ExecutorPool, FireEvent, ParConfig,
+    ParOutcome,
 };
 pub use serve::{run_concurrent, serve, ReqId, ServeHandle};
 pub use tag::{TagId, TagSplit, TagTable};

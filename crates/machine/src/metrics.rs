@@ -77,10 +77,7 @@ impl ExecStats {
 /// path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks this worker fully processed. For the threaded executor this
-    /// includes tokens consumed by the worker-local rendezvous fast path
-    /// (two per [`WorkerStats::fast_path`] join), which never transit a
-    /// run queue.
+    /// Tasks this worker fully processed.
     pub processed: u64,
     /// Pops from the worker's own run queue (the fast path).
     pub local_pops: u64,
@@ -98,10 +95,6 @@ pub struct WorkerStats {
     /// synchronization, covering up to the scheduler's batch size in
     /// tasks).
     pub batches: u64,
-    /// Two-input operator firings completed through the worker-local
-    /// same-batch rendezvous fast path, bypassing the sharded global
-    /// slot table. Filled in by the executor, not the scheduler.
-    pub fast_path: u64,
     /// Fault-injected worker-local delays slept ([`crate::chaos`]);
     /// zero on ordinary runs.
     pub chaos_delays: u64,
@@ -111,26 +104,32 @@ pub struct WorkerStats {
     pub chaos_forced_steals: u64,
 }
 
-/// Metrics of one threaded-executor run ([`crate::parallel::run_threaded`]),
-/// surfaced in [`crate::parallel::ParOutcome`]. All counters are cheap
-/// relaxed atomics or thread-local tallies — they are always on.
+/// Metrics of one threaded-executor invocation, surfaced in
+/// [`crate::parallel::ParOutcome`]. A solo run
+/// ([`crate::parallel::run_threaded`]) fills every field; a request of a
+/// serving session leaves the scheduler-level ones (`workers`,
+/// `max_pending_slots`, `slot_shard_high_water`) empty, because the
+/// workers and the slot table are shared — [`ServeStats`] reports them
+/// once per session. All counters are cheap relaxed atomics or
+/// thread-local tallies — they are always on.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ParMetrics {
     /// Per-worker scheduler counters, indexed by worker.
     pub workers: Vec<WorkerStats>,
-    /// Total tokens processed (sum of the per-worker `processed`).
+    /// Tokens of the invocation that fired an operator or merged into a
+    /// rendezvous slot: `tokens_processed == fired + merged` on every
+    /// path. On a clean solo run this is also the sum of the per-worker
+    /// `processed`; tokens drained as tombstones after a failure are
+    /// counted only there.
     pub tokens_processed: u64,
     /// Tokens that rendezvoused into a partially-filled slot without
-    /// completing it — in the sharded global table or in a worker-local
-    /// fast-path pair (one per fast-path join). On a clean run,
-    /// `tokens_processed == fired + merged`.
+    /// completing it.
     pub merged: u64,
-    /// Two-input operator firings completed entirely inside one worker's
-    /// batch: both input tokens were produced by the same worker in the
-    /// same batch and were joined locally, never touching a run queue or
-    /// the sharded rendezvous table. Each such join counts two tokens
-    /// into [`ParMetrics::tokens_processed`] and one into
-    /// [`ParMetrics::merged`], so the accounting invariant holds.
+    /// Always 0. It counted joins completed by a worker-local two-input
+    /// rendezvous fast path, which the single threaded engine does not
+    /// have (it fired 0 times on `loop_nest` and in under 1% of tokens
+    /// on the widest benchmark kernel); the field stays so readers of
+    /// the metric keep compiling.
     pub fast_path_fires: u64,
     /// High-water mark of simultaneously occupied rendezvous slots across
     /// the whole table — the waiting-matching (frame memory) pressure,
@@ -161,10 +160,9 @@ impl ParMetrics {
         let steals: u64 = self.workers.iter().map(|w| w.steals).sum();
         let parks: u64 = self.workers.iter().map(|w| w.parks).sum();
         format!(
-            "processed={} merged={} fastpath={} macro={}/{} steals={} parks={} max_slots={} tags={} deferred={}",
+            "processed={} merged={} macro={}/{} steals={} parks={} max_slots={} tags={} deferred={}",
             self.tokens_processed,
             self.merged,
-            self.fast_path_fires,
             self.macro_fires,
             self.ops_elided,
             steals,

@@ -1,31 +1,30 @@
 //! A std-only work-stealing task scheduler with batched queues and a
 //! reusable worker pool.
 //!
-//! This is the execution core under [`crate::parallel`]. Each worker
-//! owns a run queue; a worker pushes the tasks it creates onto its own
-//! queue and pops them back LIFO for cache locality. The hot paths are
-//! *batched*: a worker takes up to [`BATCH`] tasks in one queue
-//! synchronization, runs the whole batch, and flushes every task the
-//! batch produced back onto its queue in a single push — one lock
-//! acquisition and one pair of counter updates per batch instead of per
-//! task. A dry worker drains the global injector, then steals *half* of
-//! a sibling's queue — but only from queues at least [`STEAL_MIN`]
-//! deep. Shallow queues mark a narrow, mostly serial task chain;
-//! robbing them migrates the chain between workers (trashing locality
-//! and the executor's same-batch rendezvous fast path) without buying
-//! any parallelism. A queue holding fewer tasks than the floor keeps
-//! them for its owner, which is what lets round-robin seeding guarantee
-//! that every seeded worker processes its own seed.
+//! This is the execution core under the threaded engine
+//! ([`crate::serve`]). Each worker owns a run queue; a worker pushes the
+//! tasks it creates onto its own queue and pops them back LIFO for cache
+//! locality. The hot paths are *batched*: a worker takes up to [`BATCH`]
+//! tasks in one queue synchronization, runs the whole batch, and flushes
+//! every task the batch produced back onto its queue in a single push —
+//! one lock acquisition and one pair of counter updates per batch
+//! instead of per task. A dry worker drains the global injector, then
+//! steals *half* of a sibling's queue — but only from queues at least
+//! [`STEAL_MIN`] deep. Shallow queues mark a narrow, mostly serial task
+//! chain; robbing them migrates the chain between workers (trashing
+//! locality) without buying any parallelism. A queue holding fewer tasks
+//! than the floor keeps them for its owner.
 //!
-//! Narrow graphs never fill queues past the steal floor, so extra
-//! workers would otherwise sleep through the whole run. The *donation*
-//! path fixes start-up distribution explicitly: while some worker has
-//! never been given work (not seeded, not donated to, never ran a
-//! batch), each flush hands one produced task directly into that
-//! worker's queue and wakes it. Each worker is donated to at most once,
-//! and a single counter load in the flush fast path prices the
-//! steady state — when seeding already reaches every queue, donations
-//! cost nothing at all.
+//! Work enters from outside through the injector
+//! ([`Scheduler::inject_batch`]), which every worker drains before it
+//! steals. Narrow graphs never fill queues past the steal floor, so
+//! extra workers would otherwise sleep through the whole run. The
+//! *donation* path fixes start-up distribution explicitly: while some
+//! worker has never been given work (not donated to, never ran a batch),
+//! each flush hands one produced task directly into that worker's queue
+//! and wakes it. Each worker is donated to at most once, and a single
+//! counter load in the flush fast path prices the steady state — once
+//! every worker has run, donations cost nothing at all.
 //!
 //! Idle workers spin briefly, then park on a `Condvar` behind an
 //! *event count*: a would-be sleeper snapshots `wake_epoch`, re-checks
@@ -40,23 +39,23 @@
 //! Shutdown is **explicit**:
 //!
 //! * a task pushed onto a queue is never dropped: it is either processed,
-//!   or still countable in a queue when [`Scheduler::run`] returns after
-//!   an explicit [`Ctx::halt`] (the caller sees the count in
+//!   or still countable in a queue when [`Scheduler::run_in`] returns
+//!   after an explicit [`Ctx::halt`] (the caller sees the count in
 //!   [`Outcome::leftover`]);
 //! * with no halt requested, workers only exit when the in-flight count
-//!   reaches zero, so `run` returning with `leftover == 0` is a
+//!   reaches zero, so `run_in` returning with `leftover == 0` is a
 //!   *guarantee*, checked by a debug assertion, not a race.
 //!
-//! [`WorkerPool`] keeps the OS threads alive across runs: spawning a
-//! thread costs tens of microseconds, which dominates sub-millisecond
-//! graph executions and is exactly the overhead that made adding
-//! workers *slow the executor down*. A pool is created once, parks its
-//! threads between runs, and executes one [`Scheduler::run_in`] per
-//! job.
+//! The workers are the OS threads of a [`WorkerPool`], kept alive across
+//! runs: spawning a thread costs tens of microseconds, which dominates
+//! sub-millisecond graph executions and is exactly the overhead that
+//! made adding workers *slow the executor down*. A pool is created
+//! once, parks its threads between runs, and executes one
+//! [`Scheduler::run_in`] per job.
 //!
 //! The scheduler knows nothing about dataflow; it moves opaque `T`s. The
 //! machine semantics (rendezvous, firing, memory) live in
-//! [`crate::parallel`].
+//! [`crate::serve`].
 
 use crate::chaos::{ChaosConfig, ChaosRng};
 use crate::metrics::WorkerStats;
@@ -75,17 +74,18 @@ const SPIN_TRIES: u32 = 64;
 /// Minimum victim queue depth for stealing. Shallow queues are the
 /// signature of a narrow (mostly serial) task chain: stealing one or
 /// two tasks from them migrates the chain between workers — destroying
-/// the producer's locality (and the executor's same-batch rendezvous
-/// fast path) — without creating any real parallelism.
+/// the producer's cache locality — without creating any real
+/// parallelism.
 pub const STEAL_MIN: usize = 4;
 
-/// Lock, recovering the guard if a panicking worker poisoned it (the
-/// panic itself still propagates through the scope join).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock, recovering the guard if a panicking worker poisoned it: every
+/// structure the executor guards stays valid between its updates, and
+/// the panic itself is reported through the run's outcome.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// What `run` observed by the time every worker exited.
+/// What [`Scheduler::run_in`] observed by the time every worker exited.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outcome {
     /// Tasks fully processed.
@@ -115,9 +115,8 @@ struct Park {
 /// Work-stealing scheduler over tasks of type `T`.
 pub struct Scheduler<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
-    /// Global injector for tasks pushed from outside a worker
-    /// (mid-run external injection; initial seeds go through
-    /// [`Scheduler::seed`] instead).
+    /// Global injector for tasks pushed from outside a worker (initial
+    /// tasks and mid-run admissions alike).
     inject: Mutex<VecDeque<T>>,
     /// Tasks pushed but not yet fully processed (includes the ones a
     /// worker is currently running). Zero means no task exists and none
@@ -133,8 +132,8 @@ pub struct Scheduler<T> {
     /// Mirror of the sleeper count, readable without the park lock, so
     /// the flush fast path skips the lock entirely while nobody sleeps.
     sleeper_count: AtomicUsize,
-    /// Per-worker "has ever been given work" flags: set by seeding, by a
-    /// donation, or by the worker's own first processed batch. While any
+    /// Per-worker "has ever been given work" flags: set by a donation or
+    /// by the worker's own first processed batch. While any
     /// worker is unfed, flushes *donate* one produced task straight into
     /// its (empty) queue and wake it — a bounded start-up hand-off that
     /// guarantees work distribution even on narrow graphs whose queues
@@ -143,8 +142,8 @@ pub struct Scheduler<T> {
     /// the system can quiesce — "every worker runs" is deterministic.
     fed: Vec<AtomicBool>,
     /// How many `fed` flags are still unset; the flush fast path reads
-    /// this single counter (zero from the start whenever seeding reaches
-    /// every worker) to skip the donation scan entirely.
+    /// this single counter (zero once every worker has run a batch) to
+    /// skip the donation scan entirely.
     unfed: AtomicUsize,
     stop: AtomicBool,
     processed: AtomicU64,
@@ -208,80 +207,30 @@ impl<T: Send> Scheduler<T> {
         self.queues.len()
     }
 
-    /// Seed initial tasks round-robin across the worker queues (before
-    /// `run`). Every seeded worker is guaranteed to process at least one
-    /// of its own seeds: a worker always drains its own queue before
-    /// looking elsewhere, and thieves never take the last task of a
-    /// queue.
-    pub fn seed<I: IntoIterator<Item = T>>(&self, tasks: I) {
-        let n = self.queues.len();
-        let mut count = 0usize;
-        for (i, t) in tasks.into_iter().enumerate() {
-            lock(&self.queues[i % n]).push_back(t);
-            self.mark_fed(i % n);
-            count += 1;
-        }
-        self.pending.fetch_add(count, Ordering::SeqCst);
-        self.queued.fetch_add(count, Ordering::SeqCst);
-    }
-
-    /// Seed initial tasks onto the queues chosen by `place` (clamped to
-    /// the worker count by modulus). Unlike the round-robin [`seed`],
-    /// this lets the caller co-locate tasks that will rendezvous — e.g.
-    /// both halves of a two-input join — so the worker-local fast path
-    /// is not defeated by the seeding pattern.
-    ///
-    /// [`seed`]: Scheduler::seed
-    pub fn seed_with<I, F>(&self, tasks: I, place: F)
-    where
-        I: IntoIterator<Item = T>,
-        F: Fn(&T) -> usize,
-    {
-        let n = self.queues.len();
-        let mut count = 0usize;
-        for t in tasks {
-            let w = place(&t) % n;
-            lock(&self.queues[w]).push_back(t);
-            self.mark_fed(w);
-            count += 1;
-        }
-        self.pending.fetch_add(count, Ordering::SeqCst);
-        self.queued.fetch_add(count, Ordering::SeqCst);
-    }
-
-    /// Record that worker `w` has been given work (seed, donation, or
-    /// its own first batch), retiring it as a donation target.
+    /// Record that worker `w` has been given work (a donation or its own
+    /// first batch), retiring it as a donation target.
     fn mark_fed(&self, w: usize) {
         if !self.fed[w].swap(true, Ordering::SeqCst) {
             self.unfed.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    /// Inject a task from outside the worker pool (before or during
-    /// `run`). Mid-run injection always wakes a sleeper.
-    pub fn inject(&self, t: T) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        lock(&self.inject).push_back(t);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.wake(false);
-    }
-
-    /// Inject a group of tasks from outside the worker pool in one
-    /// synchronization (one injector lock, one pair of counter updates,
-    /// one wake) — the admission path for multiplexed request execution
-    /// ([`crate::serve`]), where every request seeds several tokens at
-    /// once. All sleepers are woken: a batch is exactly the situation
-    /// where several parked workers can be put to use at once. Returns
-    /// how many tasks were injected.
+    /// Inject a group of tasks from outside the worker pool (before or
+    /// during [`Scheduler::run_in`]) in one synchronization — one
+    /// injector lock, one pair of counter updates, one wake. This is how
+    /// every invocation's start tokens enter ([`crate::serve`]). All
+    /// sleepers are woken: a batch is exactly the situation where
+    /// several parked workers can be put to use at once. Returns how
+    /// many tasks were injected.
     pub fn inject_batch<I: IntoIterator<Item = T>>(&self, tasks: I) -> usize {
         let mut buf: Vec<T> = tasks.into_iter().collect();
         let m = buf.len();
         if m == 0 {
             return 0;
         }
-        // `pending` rises before the tasks become visible, mirroring
-        // [`Scheduler::inject`]: a worker that grabs a task and finishes
-        // it must never drive `pending` below the true in-flight count.
+        // `pending` rises before the tasks become visible: a worker that
+        // grabs a task and finishes it must never drive `pending` below
+        // the true in-flight count.
         self.pending.fetch_add(m, Ordering::SeqCst);
         lock(&self.inject).extend(buf.drain(..));
         self.queued.fetch_add(m, Ordering::SeqCst);
@@ -445,12 +394,11 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Hand one freshly produced task to the first worker that has never
-    /// been given any (not seeded, not donated to, never ran a batch).
-    /// Bounded: each worker is donated to at most once, and the single
-    /// `unfed` counter load in [`Scheduler::flush`] short-circuits the
-    /// whole path — including this scan of plain atomic flags, which
-    /// touches no queue locks — the moment every worker is fed. When
-    /// seeding reaches every queue, that is before the run even starts.
+    /// been given any (not donated to, never ran a batch). Bounded: each
+    /// worker is donated to at most once, and the single `unfed` counter
+    /// load in [`Scheduler::flush`] short-circuits the whole path —
+    /// including this scan of plain atomic flags, which touches no queue
+    /// locks — the moment every worker is fed.
     fn donate(&self, ctx: &Ctx<'_, T>, buf: &mut Vec<T>) -> bool {
         for (v, flag) in self.fed.iter().enumerate() {
             if v == ctx.worker || flag.load(Ordering::SeqCst) {
@@ -463,46 +411,14 @@ impl<T: Send> Scheduler<T> {
         false
     }
 
-    /// Run `body` over every task until the system drains or halts,
-    /// spawning one scoped thread per queue.
+    /// Run `body` over every task on the threads of `pool` (whose width
+    /// must match the queue count) until the system drains or halts.
     ///
     /// `body` receives a [`Ctx`] (for pushing follow-up tasks and
     /// requesting a halt) and a batch of tasks, which it must fully
     /// drain. Workers exit when (a) `Ctx::halt` was called, or (b)
     /// `pending` reaches zero — every pushed task was processed and none
     /// can ever appear again.
-    pub fn run<F>(&self, body: F) -> Outcome
-    where
-        F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
-        T: Send,
-    {
-        let body = &body;
-        let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.queues.len())
-                .map(|w| {
-                    let sched = &*self;
-                    scope.spawn(move || sched.worker_loop(w, body))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(w, h)| {
-                    // Body panics are contained inside `worker_loop`; a
-                    // panic escaping the loop itself is a scheduler bug,
-                    // but even then the run must report, not abort.
-                    h.join().unwrap_or_else(|payload| {
-                        self.record_panic(w, &payload);
-                        WorkerStats::default()
-                    })
-                })
-                .collect()
-        });
-        self.finish(workers)
-    }
-
-    /// As [`Scheduler::run`], but on a pre-spawned [`WorkerPool`]
-    /// (whose width must match) instead of freshly spawned threads.
     pub fn run_in<F>(&self, pool: &WorkerPool, body: F) -> Outcome
     where
         F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
@@ -564,11 +480,7 @@ impl<T: Send> Scheduler<T> {
     /// observe `stop` and exit, sleepers are woken, and `finish` surfaces
     /// the report in [`Outcome::panicked`].
     fn record_panic(&self, w: usize, payload: &(dyn std::any::Any + Send)) {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let msg = render_panic(payload);
         let mut slot = lock(&self.panic);
         if slot.is_none() {
             *slot = Some((w, msg));
@@ -701,7 +613,7 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
-    /// Remaining tasks across all queues (meaningful after `run`).
+    /// Remaining tasks across all queues (meaningful after `run_in`).
     fn drain_count(&self) -> u64 {
         let mut n = lock(&self.inject).len() as u64;
         for q in &self.queues {
@@ -709,6 +621,17 @@ impl<T: Send> Scheduler<T> {
         }
         n
     }
+}
+
+/// A panic payload as text: the message of a `panic!` with a string
+/// literal or a formatted string, or a placeholder for any other
+/// payload type.
+pub(crate) fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 impl<T: Send> Ctx<'_, T> {
@@ -898,6 +821,30 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
+    /// Run `sched` to completion on a fresh pool of its width.
+    fn run<T: Send>(
+        sched: &Scheduler<T>,
+        body: impl Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
+    ) -> Outcome {
+        sched.run_in(&WorkerPool::new(sched.workers()), body)
+    }
+
+    /// Place `tasks` round-robin straight onto the worker queues (task
+    /// `i` on queue `i % n`), marking each receiving worker fed — the
+    /// start-up state a caller gets by distributing its initial tasks
+    /// itself instead of through the injector.
+    fn seed<T: Send>(sched: &Scheduler<T>, tasks: impl IntoIterator<Item = T>) {
+        let n = sched.queues.len();
+        let mut count = 0usize;
+        for (i, t) in tasks.into_iter().enumerate() {
+            lock(&sched.queues[i % n]).push_back(t);
+            sched.mark_fed(i % n);
+            count += 1;
+        }
+        sched.pending.fetch_add(count, Ordering::SeqCst);
+        sched.queued.fetch_add(count, Ordering::SeqCst);
+    }
+
     fn for_each<T: Send>(
         body: impl Fn(&Ctx<'_, T>, T) + Sync,
     ) -> impl Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync {
@@ -913,8 +860,8 @@ mod tests {
     fn tree_sum(workers: usize, depth: u32) -> (u64, Outcome) {
         let sched: Scheduler<(u32, u64)> = Scheduler::new(workers);
         let total = AtomicU64::new(0);
-        sched.inject((depth, 1));
-        let out = sched.run(for_each(|ctx, (d, v)| {
+        sched.inject_batch([(depth, 1)]);
+        let out = run(&sched, for_each(|ctx, (d, v)| {
             if d == 0 {
                 total.fetch_add(v, Ordering::Relaxed);
             } else {
@@ -944,10 +891,8 @@ mod tests {
     fn injected_tasks_are_all_processed() {
         let sched: Scheduler<u64> = Scheduler::new(4);
         let total = AtomicU64::new(0);
-        for i in 0..1000 {
-            sched.inject(i);
-        }
-        let out = sched.run(for_each(|_, v| {
+        sched.inject_batch(0..1000);
+        let out = run(&sched, for_each(|_, v| {
             total.fetch_add(v, Ordering::Relaxed);
         }));
         assert_eq!(total.load(Ordering::Relaxed), 499_500);
@@ -958,13 +903,13 @@ mod tests {
     #[test]
     fn seeds_distribute_round_robin_and_all_process() {
         let sched: Scheduler<u64> = Scheduler::new(4);
-        sched.seed(0..8u64);
+        seed(&sched, 0..8u64);
         // Each queue received exactly two seeds.
         for q in &sched.queues {
             assert_eq!(lock(q).len(), 2);
         }
         let total = AtomicU64::new(0);
-        let out = sched.run(for_each(|_, v| {
+        let out = run(&sched, for_each(|_, v| {
             total.fetch_add(v, Ordering::Relaxed);
         }));
         assert_eq!(total.load(Ordering::Relaxed), 28);
@@ -981,10 +926,8 @@ mod tests {
     #[test]
     fn halt_stops_early_and_accounts_for_leftovers() {
         let sched: Scheduler<u64> = Scheduler::new(2);
-        for i in 0..100 {
-            sched.inject(i);
-        }
-        let out = sched.run(for_each(|ctx, v| {
+        sched.inject_batch(0..100);
+        let out = run(&sched, for_each(|ctx, v| {
             if v == 0 {
                 ctx.halt();
             }
@@ -997,7 +940,7 @@ mod tests {
     #[test]
     fn no_work_at_all_returns_immediately() {
         let sched: Scheduler<()> = Scheduler::new(4);
-        let out = sched.run(for_each(|_, ()| {}));
+        let out = run(&sched, for_each(|_, ()| {}));
         assert_eq!(out.processed, 0);
         assert_eq!(out.leftover, 0);
         assert!(!out.halted);
@@ -1037,8 +980,8 @@ mod tests {
         // completion like a recursion — queue depth stays bounded.
         let sched: Scheduler<u32> = Scheduler::new(1);
         let count = AtomicU64::new(0);
-        sched.inject(10_000);
-        let out = sched.run(for_each(|ctx, n| {
+        sched.inject_batch([10_000]);
+        let out = run(&sched, for_each(|ctx, n| {
             count.fetch_add(1, Ordering::Relaxed);
             if n > 0 {
                 ctx.push(n - 1);
@@ -1058,9 +1001,9 @@ mod tests {
         let workers = 4;
         let sched: Scheduler<u32> = Scheduler::new(workers);
         // Seed one producer task in worker 0's queue only.
-        sched.seed([u32::MAX]);
+        seed(&sched, [u32::MAX]);
         let done = AtomicU64::new(0);
-        let out = sched.run(for_each(|ctx, v| {
+        let out = run(&sched, for_each(|ctx, v| {
             if v == u32::MAX {
                 // The producer: fan out well past the wake threshold,
                 // slowly, so siblings park before work exists and get
@@ -1133,12 +1076,12 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..5u32 {
                     std::thread::sleep(Duration::from_millis(3));
-                    sched.inject(i);
+                    sched.inject_batch([i]);
                 }
             });
             // Hold the run open until all five drips arrived.
-            sched.inject(u32::MAX);
-            let out = sched.run(for_each(|_ctx, v| {
+            sched.inject_batch([u32::MAX]);
+            let out = run(sched, for_each(|_ctx, v| {
                 if v == u32::MAX {
                     while seen.load(Ordering::Relaxed) < 5 {
                         std::thread::sleep(Duration::from_millis(1));
@@ -1163,8 +1106,8 @@ mod tests {
     fn starving_workers_are_fed_by_donation() {
         let workers = 8;
         let sched: Scheduler<u32> = Scheduler::new(workers);
-        sched.seed([10_000u32]);
-        let out = sched.run(for_each(|ctx, n| {
+        seed(&sched, [10_000u32]);
+        let out = run(&sched, for_each(|ctx, n| {
             if n > 0 {
                 ctx.push(n - 1);
             }
@@ -1201,7 +1144,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(2));
                 sched.release();
             });
-            let out = sched.run(for_each(|_, v: u64| {
+            let out = run(sched, for_each(|_, v: u64| {
                 total.fetch_add(v, Ordering::Relaxed);
             }));
             assert_eq!(out.processed, 40);
@@ -1259,10 +1202,8 @@ mod tests {
     fn body_panic_is_contained_and_reported() {
         for workers in [1, 2, 4, 8] {
             let sched: Scheduler<u64> = Scheduler::new(workers);
-            for i in 0..200 {
-                sched.inject(i);
-            }
-            let out = sched.run(for_each(|_, v: u64| {
+            sched.inject_batch(0..200);
+            let out = run(&sched, for_each(|_, v: u64| {
                 if v == 100 {
                     panic!("task exploded");
                 }
@@ -1290,8 +1231,8 @@ mod tests {
                     ..ChaosConfig::off(42)
                 }));
             let total = AtomicU64::new(0);
-            sched.inject((10, 1));
-            let out = sched.run(for_each(|ctx, (d, v): (u32, u64)| {
+            sched.inject_batch([(10, 1)]);
+            let out = run(&sched, for_each(|ctx, (d, v): (u32, u64)| {
                 if d == 0 {
                     total.fetch_add(v, Ordering::Relaxed);
                 } else {
@@ -1315,10 +1256,8 @@ mod tests {
             delay_us: 1,
             ..ChaosConfig::off(7)
         }));
-        for i in 0..50 {
-            sched.inject(i);
-        }
-        let out = sched.run(for_each(|_, _v: u64| {}));
+        sched.inject_batch(0..50);
+        let out = run(&sched, for_each(|_, _v: u64| {}));
         assert_eq!(out.processed, 50);
         let delays: u64 = out.workers.iter().map(|w| w.chaos_delays).sum();
         assert!(delays > 0, "p=1 delays must be tallied: {out:?}");
@@ -1332,7 +1271,7 @@ mod tests {
         for round in 0..3 {
             let sched: Scheduler<(u32, u64)> = Scheduler::new(4);
             let total = AtomicU64::new(0);
-            sched.inject((d, 1));
+            sched.inject_batch([(d, 1)]);
             let out = sched.run_in(
                 &pool,
                 for_each(|ctx, (dd, v): (u32, u64)| {

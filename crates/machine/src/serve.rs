@@ -1,26 +1,28 @@
-//! Concurrent multi-invocation execution: many independent runs of one
-//! compiled graph multiplexed onto a single shared [`ExecutorPool`].
+//! The threaded engine: invocation-scoped token motion on a shared
+//! [`ExecutorPool`], and its two drivers — a solo run
+//! ([`run_threaded_compiled_pooled_with`], also behind
+//! [`crate::parallel::run_threaded`]) and a serving session ([`serve`])
+//! of many concurrent invocations of one compiled graph.
 //!
-//! The threaded executor ([`crate::parallel`]) runs *one* invocation at a
-//! time: small graphs leave most of the pool idle between the seed
-//! fan-out and the final drain, and back-to-back requests serialize on
-//! the full start/stop latency of a run. This module exploits the
-//! tagged-token machine's own answer to that problem. On a Monsoon-style
-//! explicit-token-store machine, unrelated activations coexist in one
-//! waiting-matching store because their tokens carry disjoint contexts —
-//! the hardware never needs to know where one program ends and the next
-//! begins. We reproduce that here by adding an *invocation* dimension to
-//! the tag space: every rendezvous key packs a small invocation index
-//! into the high bits of the tag word ([`TagSplit`],
+//! On a Monsoon-style explicit-token-store machine, unrelated
+//! activations share one waiting-matching store and are told apart only
+//! by their tag contexts — the hardware never needs to know where one
+//! program ends and the next begins, and a solo run is simply a store
+//! holding one activation. This engine works the same way. Every token
+//! carries an *invocation* index, and every rendezvous key packs it into
+//! the high bits of the tag word ([`TagSplit`],
 //! [`crate::compiled::key_inv`]), so tokens of concurrent requests flow
 //! through the *same* sharded slot table, the same run queues and the
-//! same workers, yet can never match each other.
+//! same workers, yet can never match each other. A solo run is one
+//! admitted invocation under `TagSplit::for_inflight(1)` (no invocation
+//! bits at all), scheduled from the calling thread; a session admits up
+//! to `max_inflight` at once and keeps the workers up between requests.
 //!
 //! Per-invocation state that genuinely must be private — memory, the
 //! tag interner (each invocation gets its own reserved slice of the tag
-//! space), fuel, metrics, failure — lives in an invocation slot; the
+//! space), fuel, counters, failure — lives in an invocation slot; the
 //! expensive shared machinery (worker threads, run queues, rendezvous
-//! shards) is allocated once per serving session.
+//! shards) is allocated once per run or session.
 //!
 //! Isolation invariants (pinned by the tests here and in
 //! `tests/chaos.rs` / `tests/parallel_equivalence.rs`):
@@ -31,43 +33,48 @@
 //!   tag exhaustion — fails *that request only*: its remaining tokens
 //!   drain as tombstones, its slot is reclaimed, and neighbors and the
 //!   pool are untouched;
-//! * a request's result is bit-identical to a solo
-//!   [`crate::parallel::run_threaded_compiled`] run of the same graph
-//!   (equivalence tests check all of them against the deterministic
-//!   simulator).
+//! * a request's result is bit-identical to a solo run of the same graph
+//!   (equivalence tests check both against the deterministic simulator).
 //!
-//! Quiescence is detected per invocation with a live-token count: a
-//! token is live from the moment it is queued until its processing (and
-//! every emission that processing performs) has finished. The count
+//! Quiescence is detected per invocation with a live-token count that
+//! never understates the invocation's tokens: a worker settles it once
+//! per run of same-invocation tokens in its batch, adding what the run
+//! emitted (before the batch flush makes those tokens visible) and
+//! subtracting what it consumed (`Session::settle`). The count
 //! reaching zero therefore means no token of that invocation exists
 //! anywhere — queued, stolen, or mid-fire — at which point the slot is
 //! finalized: its leftover rendezvous entries are purged from the
-//! shared table and the run is classified exactly like a solo run
-//! (recorded error > injected drops > deadlock > success).
+//! shared table and the run is classified (see `Session::verdict`).
+//! There is no worker-local rendezvous fast path: DESIGN.md §8.2 records
+//! the measurements behind its removal.
 
 use crate::chaos::ChaosTallies;
 use crate::compiled::{
     fire_op, key_inv, unkey_inv, CKind, CompiledGraph, Engine, FireInputs, FireVals, SlotVals,
 };
 use crate::exec::MachineError;
-use crate::hash::{shard64, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::memory::{DeferredRead, MemError};
-use crate::metrics::{ParMetrics, ServeStats};
-use crate::parallel::{ChaosState, ExecutorPool, ParConfig, ParMemory, ParOutcome, ParTagTable};
-use crate::scheduler::{Ctx, Scheduler};
+use crate::metrics::{ParMetrics, ServeStats, WorkerStats};
+use crate::parallel::{
+    ChaosState, ExecutorPool, FireEvent, ParConfig, ParMemory, ParOutcome, ParTagTable, TraceRing,
+};
+use crate::scheduler::{lock, render_panic, Ctx, Outcome, Scheduler};
 use crate::tag::{TagId, TagSplit};
 use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{OpId, Port};
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
-/// Shards in the session's shared rendezvous-slot table (same count as
-/// the solo executor's table; the invocation bits are mixed into the
-/// shard hash so concurrent requests spread instead of stacking).
+/// Shards in the rendezvous-slot table.
 const SLOT_SHARDS: usize = 32;
+
+/// A finished request: its id and its verdict.
+type Completion = (ReqId, Result<ParOutcome, MachineError>);
 
 /// Identifies one submitted request within a serving session. Sequential
 /// from 0 in submission order; carried into per-invocation errors
@@ -76,108 +83,126 @@ const SLOT_SHARDS: usize = 32;
 /// to their submissions.
 pub type ReqId = u64;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Shard of the rendezvous slot of `(op, inv, tag)`: the operator
+/// scrambled by a golden-ratio multiply, plus the invocation-local tag,
+/// plus the invocation index times an odd constant. Consecutive
+/// iteration tags of one operator land on consecutive shards, and
+/// concurrent invocations of the same `(operator, tag)` spread instead
+/// of stacking on one shard (the constant is odd, hence coprime with
+/// the power-of-two shard count). Invocation 0 — every solo run —
+/// shards by operator and tag alone.
+#[inline]
+fn shard_of(op: OpId, inv: u32, tag: TagId) -> usize {
+    op.0.wrapping_mul(0x9e37_79b1)
+        .wrapping_add(tag.0)
+        .wrapping_add(inv.wrapping_mul(0x85eb_ca6b)) as usize
+        % SLOT_SHARDS
 }
 
 /// A token in flight, extended with the invocation index that scopes its
 /// tag.
 #[derive(Clone, Copy, Debug)]
-struct MToken {
+struct Token {
     to: Port,
     tag: TagId,
     inv: u32,
     value: i64,
 }
 
-/// The per-invocation private state: its memory image and its tag
-/// interner (allocating only within the invocation's reserved slice of
-/// the tag space).
+/// The private state of one admitted request, rebuilt on every
+/// admission: its memory image, its tag interner (allocating only within
+/// the invocation's reserved slice of the tag space) and its counters.
 struct InvCore {
+    req: ReqId,
+    /// The admission slot, carried by every token of the request.
+    inv: u32,
     layout: MemLayout,
     mem: ParMemory,
     tags: ParTagTable,
+    /// Set once the invocation failed: the lock-free check, read for
+    /// every token, that turns its remaining tokens into tombstones.
+    failed_flag: AtomicBool,
+    counts: InvCounts,
 }
 
-/// One admission slot. The atomics are the invocation's always-on
-/// counters; `core` is the heap state rebuilt on every admission.
-struct InvSlot {
-    /// Private state of the currently admitted request.
-    ///
-    /// SAFETY (for both `unsafe impl Sync` and every access): ownership
-    /// of a slot is sequenced by the admission free-list under the
-    /// session state mutex. `core` is written exclusively in
-    /// [`ServeHandle::submit`] *after* popping the slot from the free
-    /// list and *before* injecting any of its tokens (the scheduler's
-    /// queue locks give the necessary happens-before edge to workers);
-    /// workers only read it while processing a token of this invocation,
-    /// which holds `live > 0`; finalization reads it only after `live`
-    /// reached zero — i.e. after every such reader finished — and the
-    /// slot returns to the free list only after finalization completes.
-    core: UnsafeCell<Option<InvCore>>,
-    /// Tokens of this invocation that exist anywhere (queued or being
-    /// processed). Zero means quiescent — finalize.
-    live: AtomicU64,
-    /// The request id occupying this slot (valid while off the free
-    /// list).
-    req: AtomicU64,
+/// An invocation's always-on counters and failure record, on cache
+/// lines of their own: every worker writes them on every firing, and a
+/// field read per token or per memory operation that shared their line
+/// would bounce between cores with them.
+#[derive(Default)]
+#[repr(align(128))]
+struct InvCounts {
     end_seen: AtomicBool,
     fired: AtomicU64,
     merged: AtomicU64,
-    processed: AtomicU64,
     macro_fires: AtomicU64,
     ops_elided: AtomicU64,
     /// Chaos-injected token drops / duplicates charged to this
     /// invocation.
     drops: AtomicU64,
     dups: AtomicU64,
-    /// First failure recorded for this invocation; `failed_flag` is the
-    /// lock-free fast check that turns its remaining tokens into
-    /// tombstones.
+    /// First failure recorded (see [`InvCore::fail`]).
     failed: Mutex<Option<MachineError>>,
-    failed_flag: AtomicBool,
+}
+
+impl InvCore {
+    /// Record the invocation's first failure and tombstone its remaining
+    /// tokens. Neighbors, the shared table and the pool are deliberately
+    /// untouched: failure is a per-invocation event.
+    fn fail(&self, e: MachineError) {
+        lock(&self.counts.failed).get_or_insert(e);
+        self.failed_flag.store(true, Ordering::SeqCst);
+    }
+}
+
+/// One admission slot.
+#[derive(Default)]
+struct InvSlot {
+    /// Private state of the currently admitted request.
+    ///
+    /// SAFETY (for both `unsafe impl Sync` and every access): ownership
+    /// of a slot is sequenced by the admission free-list under the
+    /// session state mutex. `core` is written exclusively in
+    /// [`Session::submit`], under that mutex, *after* popping the slot
+    /// from the free list and *before* injecting any of its tokens (the
+    /// scheduler's queue locks give the necessary happens-before edge to
+    /// workers); workers only read it while processing a token of this
+    /// invocation, which holds `live > 0`; finalization reads it only
+    /// after `live` reached zero — i.e. after every such reader finished
+    /// — or after the scheduler stopped; and the slot returns to the
+    /// free list only after finalization completes.
+    core: UnsafeCell<Option<InvCore>>,
+    /// An upper bound on the tokens of this invocation that exist
+    /// anywhere (queued or being processed), exact between batches (see
+    /// [`Session::settle`]). Zero means quiescent — finalize.
+    live: AtomicU64,
 }
 
 // SAFETY: see the `core` field — all access to the UnsafeCell is
-// sequenced by the free-list/live-count protocol documented there; every
-// other field is a Sync primitive.
+// sequenced by the free-list/live-count protocol documented there; the
+// other field is atomic.
 unsafe impl Sync for InvSlot {}
 
 impl InvSlot {
-    fn new() -> InvSlot {
-        InvSlot {
-            core: UnsafeCell::new(None),
-            live: AtomicU64::new(0),
-            req: AtomicU64::new(0),
-            end_seen: AtomicBool::new(false),
-            fired: AtomicU64::new(0),
-            merged: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
-            macro_fires: AtomicU64::new(0),
-            ops_elided: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
-            dups: AtomicU64::new(0),
-            failed: Mutex::new(None),
-            failed_flag: AtomicBool::new(false),
-        }
-    }
-
     /// The admitted request's private state.
     ///
-    /// SAFETY: caller must hold one of the access rights documented on
-    /// the `core` field (token of this invocation in hand, or exclusive
-    /// ownership during admission/finalization).
+    /// # Safety
+    ///
+    /// The caller must hold one of the access rights documented on the
+    /// `core` field: a token of this invocation in hand, or exclusive
+    /// ownership during admission or finalization.
     unsafe fn core(&self) -> &InvCore {
         (*self.core.get()).as_ref().expect("slot admitted")
     }
 }
 
 /// Bookkeeping of the admission window, guarded by one mutex.
+#[derive(Default)]
 struct ServeState {
     /// Slot indices available for admission.
     free: Vec<u32>,
-    /// Finished requests awaiting [`ServeHandle::collect`].
-    completed: VecDeque<(ReqId, Result<ParOutcome, MachineError>)>,
+    /// Finished requests awaiting collection.
+    completed: VecDeque<Completion>,
     /// Requests admitted and not yet finalized.
     inflight: usize,
     /// Next request id == requests submitted so far.
@@ -187,15 +212,16 @@ struct ServeState {
     completed_ok: u64,
     completed_err: u64,
     peak_inflight: usize,
-    /// Set when the session itself died (a worker panic that escaped an
-    /// invocation, or the watchdog): every inflight request was failed,
-    /// and every later submission completes immediately with this error.
+    /// Set when the scheduler itself was halted (a worker panic that
+    /// escaped an invocation, or the watchdog): every inflight request
+    /// was failed, and every later submission completes immediately
+    /// with this error.
     dead: Option<MachineError>,
 }
 
-/// Session-wide shared state: the compiled graph, the invocation-keyed
-/// rendezvous table, the admission slots.
-struct MultiShared<'g> {
+/// State shared by every worker of one run or session: the compiled
+/// graph, the invocation-keyed rendezvous table, the admission slots.
+struct Session<'g> {
     cg: &'g CompiledGraph,
     /// How the 32-bit tag word is split between invocation index (high
     /// bits) and per-invocation tag (low bits).
@@ -205,13 +231,23 @@ struct MultiShared<'g> {
     tag_cap: u32,
     /// Per-invocation firing budget.
     fuel: u64,
+    /// Fault injection for panics/drops/dups. Boxed so an ordinary run
+    /// pays one null check per firing / per emit and the chaos machinery
+    /// stays off the hot cache lines.
     chaos: Option<Box<ChaosState>>,
+    /// A solo run: its one invocation is not named in errors (there is
+    /// no request to attribute them to) and it may keep a trace ring.
+    solo: bool,
+    /// Optional bounded fire-event ring (solo runs only); `None` costs
+    /// one branch per firing.
+    trace: Option<TraceRing>,
     /// Rendezvous slots shared by all invocations, keyed by
-    /// [`key_inv`]; sharded by the mixed hash ([`shard64`]) so the
-    /// high invocation bits disperse.
+    /// [`key_inv`], sharded by [`shard_of`] on the key's parts.
     slots: Vec<Mutex<FxHashMap<u64, SlotVals>>>,
-    slots_occupied: AtomicU64,
-    slots_peak: AtomicU64,
+    /// Currently occupied rendezvous slots (whole table), the peak, and
+    /// per-shard high-water marks.
+    occupancy: Occupancy,
+    slot_high: Vec<AtomicU64>,
     inv: Vec<InvSlot>,
     state: Mutex<ServeState>,
     /// Signaled when a slot frees (admission backpressure).
@@ -220,37 +256,147 @@ struct MultiShared<'g> {
     done_cv: Condvar,
 }
 
-impl MultiShared<'_> {
-    /// Record the first failure of invocation `inv` and tombstone its
-    /// remaining tokens. Neighbors, the shared table and the pool are
-    /// deliberately untouched: failure is a per-invocation event.
-    fn fail_inv(&self, inv: u32, e: MachineError) {
-        let slot = &self.inv[inv as usize];
-        let mut f = lock(&slot.failed);
-        if f.is_none() {
-            *f = Some(e);
+impl<'g> Session<'g> {
+    /// State for `max_inflight` invocation slots over `n_workers`
+    /// workers; `solo` is a single-invocation run (`max_inflight == 1`).
+    fn new(
+        cg: &'g CompiledGraph,
+        n_workers: usize,
+        max_inflight: usize,
+        cfg: &ParConfig,
+        solo: bool,
+    ) -> Session<'g> {
+        let split = TagSplit::for_inflight(max_inflight);
+        Session {
+            cg,
+            split,
+            tag_cap: split.tag_cap().min(cfg.tag_cap),
+            fuel: cfg.fuel,
+            chaos: cfg.chaos.map(|c| Box::new(ChaosState::new(c, n_workers))),
+            solo,
+            trace: cfg.trace_capacity.filter(|_| solo).map(TraceRing::new),
+            slots: std::iter::repeat_with(|| Mutex::new(FxHashMap::default()))
+                .take(SLOT_SHARDS)
+                .collect(),
+            occupancy: Occupancy::default(),
+            slot_high: (0..SLOT_SHARDS).map(|_| AtomicU64::new(0)).collect(),
+            inv: (0..max_inflight).map(|_| InvSlot::default()).collect(),
+            state: Mutex::new(ServeState {
+                free: (0..max_inflight as u32).rev().collect(),
+                ..ServeState::default()
+            }),
+            submit_cv: Condvar::new(),
+            done_cv: Condvar::new(),
         }
-        drop(f);
-        slot.failed_flag.store(true, Ordering::SeqCst);
     }
 
-    /// One token of `inv` finished processing (emissions included); if it
-    /// was the last live token anywhere, the invocation is quiescent and
-    /// this thread finalizes it.
-    fn dec_live(&self, inv: u32) {
-        if self.inv[inv as usize].live.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.finalize(inv);
+    // -----------------------------------------------------------------
+    // Admission and completion
+    // -----------------------------------------------------------------
+
+    /// Admit one invocation over `layout`, blocking while the admission
+    /// window is full. On a dead session the request completes
+    /// immediately with the session's error.
+    ///
+    /// The request's private state is built before the state lock is
+    /// taken and installed while it is held: whoever takes the lock next
+    /// — a finalization, or the session's death — sees the slot either
+    /// free or fully admitted.
+    fn submit(&self, sched: &Scheduler<Token>, layout: &MemLayout) -> ReqId {
+        let mut core = InvCore {
+            req: 0,
+            inv: 0,
+            layout: layout.clone(),
+            mem: ParMemory::new(layout),
+            tags: ParTagTable::new(self.tag_cap),
+            failed_flag: AtomicBool::new(false),
+            counts: InvCounts::default(),
+        };
+        let seeds = self.cg.dests(self.cg.start(), 0);
+        let mut st = lock(&self.state);
+        let (req, inv) = loop {
+            if let Some(err) = st.dead.clone() {
+                let req = st.submitted;
+                st.submitted += 1;
+                st.completed.push_back((req, Err(err)));
+                st.completed_err += 1;
+                drop(st);
+                self.done_cv.notify_all();
+                return req;
+            }
+            if let Some(inv) = st.free.pop() {
+                break (st.submitted, inv);
+            }
+            st = self.submit_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        };
+        st.submitted += 1;
+        st.inflight += 1;
+        st.peak_inflight = st.peak_inflight.max(st.inflight);
+        (core.req, core.inv) = (req, inv);
+        if !self.solo {
+            core.tags.invocation = Some(req);
+        }
+        let slot = &self.inv[inv as usize];
+        // SAFETY: exclusive slot ownership (popped from the free list,
+        // no tokens injected yet); see the `core` field protocol.
+        unsafe {
+            *slot.core.get() = Some(core);
+        }
+        // Live count covers the seeds *before* they become visible to
+        // workers, so a fast drain cannot underflow it.
+        slot.live.store(seeds.len() as u64, Ordering::SeqCst);
+        if seeds.is_empty() {
+            // A graph whose start feeds nothing can never reach End;
+            // classify at once.
+            let done = self.verdict(inv, None);
+            self.complete(&mut st, done);
+            st.free.push(inv);
+            drop(st);
+            self.submit_cv.notify_one();
+            self.done_cv.notify_all();
+            return req;
+        }
+        drop(st);
+        sched.inject_batch(seeds.iter().map(|&to| Token {
+            to,
+            tag: TagId::ROOT,
+            inv,
+            value: 0,
+        }));
+        req
+    }
+
+    /// `consumed` tokens of `inv` finished processing and emitted
+    /// `emitted` tokens, which are not yet visible to any other worker
+    /// (a batch's pushes reach the queues only after the batch). One
+    /// atomic step moves the live count by the difference; if it reaches
+    /// zero, no token of the invocation exists anywhere and this thread
+    /// finalizes it.
+    fn settle(&self, inv: u32, emitted: u64, consumed: u64) {
+        let live = &self.inv[inv as usize].live;
+        if emitted > consumed {
+            live.fetch_add(emitted - consumed, Ordering::SeqCst);
+        } else if emitted < consumed {
+            let n = consumed - emitted;
+            if live.fetch_sub(n, Ordering::SeqCst) == n {
+                self.finalize(inv);
+            }
         }
     }
 
     /// Purge every rendezvous entry of `inv` from the shared table,
     /// returning how many were parked and their rendered descriptions
-    /// (sorted, truncated to 10 — the deadlock report). Safe only at
-    /// quiescence: with `live == 0` no thread can be inserting for this
-    /// invocation.
+    /// (sorted, truncated to 10 — the deadlock report). Safe only when
+    /// no thread can be inserting for this invocation: at quiescence, or
+    /// after the scheduler stopped — either way every insert of `inv`
+    /// is visible here, so an empty table needs no scan (the common
+    /// case: a clean run leaves nothing parked).
     fn purge(&self, inv: u32, core: &InvCore) -> (u64, Vec<String>) {
         let mut parked = 0u64;
         let mut pending: Vec<String> = Vec::new();
+        if self.occupancy.now.load(Ordering::SeqCst) == 0 {
+            return (0, pending);
+        }
         for shard in &self.slots {
             let mut shard = lock(shard);
             shard.retain(|&k, vals| {
@@ -271,478 +417,408 @@ impl MultiShared<'_> {
             });
         }
         if parked > 0 {
-            self.slots_occupied.fetch_sub(parked, Ordering::Relaxed);
+            self.occupancy.now.fetch_sub(parked, Ordering::Relaxed);
         }
         pending.sort();
         pending.truncate(10);
-        if pending.is_empty() {
-            pending.push(
-                "no partially-filled rendezvous slots: tokens drained without reaching End"
-                    .to_owned(),
-            );
-        }
         (parked, pending)
     }
 
-    /// Classify a quiescent invocation exactly like a solo run (recorded
-    /// failure > injected drops > deadlock > success), push the result,
-    /// and return its slot to the free list.
-    fn finalize(&self, inv: u32) {
-        let slot = &self.inv[inv as usize];
-        // SAFETY: live == 0 — exclusive access per the slot protocol.
-        let core = unsafe { slot.core() };
+    /// Classify invocation `inv`, either at quiescence (`halt == None`)
+    /// or after the scheduler was halted under it (`halt` is the
+    /// watchdog timeout or an escaped worker panic). Precedence:
+    ///
+    ///  1. a recorded `MachineError` (collision, tag fault, memory fault,
+    ///     fuel, tag exhaustion, a contained operator panic) is the root
+    ///     cause;
+    ///  2. an escaped worker panic;
+    ///  3. injected token drops — deterministically a `TokenLeak`: a
+    ///     vanished token must never masquerade as anything else;
+    ///  4. the watchdog;
+    ///  5. quiescence without `End` — a deadlock naming the pending
+    ///     slots;
+    ///  6. success. Rendezvous halves still parked after `End` (a
+    ///     duplicated token whose twin already fired) are purged and, as
+    ///     in the simulator, do not fail the run.
+    fn verdict(&self, inv: u32, halt: Option<MachineError>) -> Completion {
+        // SAFETY: live == 0 or the scheduler stopped — no reader left.
+        let core = unsafe { self.inv[inv as usize].core() };
+        let c = &core.counts;
         let (parked, pending) = self.purge(inv, core);
-        let drops = slot.drops.load(Ordering::Relaxed);
-        let end_seen = slot.end_seen.load(Ordering::SeqCst);
-        let failure = lock(&slot.failed).take();
-        let result = if let Some(e) = failure {
-            Err(e)
-        } else if drops > 0 {
-            Err(MachineError::TokenLeak {
+        let drops = c.drops.load(Ordering::Relaxed);
+        let result = match (lock(&c.failed).take(), halt) {
+            (Some(e), _) | (None, Some(e @ MachineError::WorkerPanicked { .. })) => Err(e),
+            _ if drops > 0 => Err(MachineError::TokenLeak {
                 leftover: drops + parked,
-            })
-        } else if parked > 0 || !end_seen {
-            Err(MachineError::Deadlock { pending })
-        } else {
-            let metrics = ParMetrics {
-                // The workers are shared across invocations; their
-                // scheduler counters live in the session's ServeStats.
-                workers: Vec::new(),
-                tokens_processed: slot.processed.load(Ordering::Relaxed),
-                merged: slot.merged.load(Ordering::Relaxed),
-                // The serving executor has no worker-local fast path.
-                fast_path_fires: 0,
-                max_pending_slots: 0,
-                slot_shard_high_water: Vec::new(),
-                tags_created: core.tags.created(),
-                deferred_reads: core.mem.deferred_reads.load(Ordering::Relaxed),
-                deferred_read_peak: core.mem.deferred_peak.load(Ordering::Relaxed),
-                macro_fires: slot.macro_fires.load(Ordering::Relaxed),
-                ops_elided: slot.ops_elided.load(Ordering::Relaxed),
-                chaos: ChaosTallies {
-                    drops,
-                    dups: slot.dups.load(Ordering::Relaxed),
-                    ..ChaosTallies::default()
+            }),
+            (None, Some(e)) => Err(e),
+            (None, None) if !c.end_seen.load(Ordering::SeqCst) => Err(MachineError::Deadlock {
+                pending: if pending.is_empty() {
+                    vec!["no partially-filled rendezvous slots: tokens drained without reaching End"
+                        .to_owned()]
+                } else {
+                    pending
                 },
-            };
-            Ok(ParOutcome {
+            }),
+            (None, None) => Ok(ParOutcome {
                 memory: core.mem.cells_snapshot(),
                 ist_memory: core.mem.ist_snapshot(),
-                fired: slot.fired.load(Ordering::SeqCst),
-                metrics,
-            })
+                fired: c.fired.load(Ordering::SeqCst),
+                metrics: inv_metrics(core),
+            }),
         };
-        let req = slot.req.load(Ordering::SeqCst);
-        let mut st = lock(&self.state);
-        if result.is_ok() {
+        (core.req, result)
+    }
+
+    /// Queue a verdict for collection and retire its request from the
+    /// admission window's count.
+    fn complete(&self, st: &mut ServeState, done: Completion) {
+        if done.1.is_ok() {
             st.completed_ok += 1;
         } else {
             st.completed_err += 1;
         }
-        st.completed.push_back((req, result));
-        st.free.push(inv);
+        st.completed.push_back(done);
         st.inflight -= 1;
-        drop(st);
-        self.submit_cv.notify_one();
-        self.done_cv.notify_all();
     }
 
-    /// The session itself died (escaped worker panic or watchdog): fail
-    /// every inflight request with its own recorded error — or the
-    /// session error — and poison future submissions. Slot cores are not
-    /// touched (their tokens may still sit in dead queues), so no
-    /// memory snapshot is attempted and the slots are not reused.
+    /// The quiescent invocation's verdict goes to the completion queue
+    /// and its slot back to the free list.
+    fn finalize(&self, inv: u32) {
+        let done = self.verdict(inv, None);
+        let mut st = lock(&self.state);
+        self.complete(&mut st, done);
+        st.free.push(inv);
+        drop(st);
+        // A solo run has no submitter or collector to wake.
+        if !self.solo {
+            self.submit_cv.notify_one();
+            self.done_cv.notify_all();
+        }
+    }
+
+    /// The scheduler stopped under live invocations (escaped worker
+    /// panic or watchdog): classify every one still admitted with `err`
+    /// as the halt, and poison future submissions. The slots are not
+    /// reused — their tokens may still sit in the dead queues.
     fn session_death(&self, err: MachineError) {
         let mut st = lock(&self.state);
         st.dead = Some(err.clone());
         let busy: Vec<u32> =
             (0..self.inv.len() as u32).filter(|i| !st.free.contains(i)).collect();
         for inv in busy {
-            let slot = &self.inv[inv as usize];
-            let e = lock(&slot.failed).take().unwrap_or_else(|| err.clone());
-            st.completed.push_back((slot.req.load(Ordering::SeqCst), Err(e)));
-            st.completed_err += 1;
-            st.inflight -= 1;
+            let done = self.verdict(inv, Some(err.clone()));
+            self.complete(&mut st, done);
         }
         drop(st);
         self.submit_cv.notify_all();
         self.done_cv.notify_all();
     }
-}
 
-/// The submission side of a serving session, handed to the closure of
-/// [`serve`]. Cloneable by shared reference across threads: `submit` and
-/// `collect` are both `&self`.
-pub struct ServeHandle<'a, 'g> {
-    sh: &'a MultiShared<'g>,
-    sched: &'a Scheduler<MToken>,
-}
-
-impl ServeHandle<'_, '_> {
-    /// Admit one invocation of the session's graph over `layout`,
-    /// blocking while the admission window (`max_inflight`) is full —
-    /// the session's backpressure. Returns the request id; the result is
-    /// retrieved with [`ServeHandle::collect`]. On a dead session the
-    /// request completes immediately with the session's error.
-    pub fn submit(&self, layout: &MemLayout) -> ReqId {
-        let sh = self.sh;
-        let mut st = lock(&sh.state);
-        loop {
-            if let Some(err) = st.dead.clone() {
-                let req = st.submitted;
-                st.submitted += 1;
-                st.completed.push_back((req, Err(err)));
-                st.completed_err += 1;
-                drop(st);
-                sh.done_cv.notify_all();
-                return req;
-            }
-            if let Some(inv) = st.free.pop() {
-                let req = st.submitted;
-                st.submitted += 1;
-                st.inflight += 1;
-                st.peak_inflight = st.peak_inflight.max(st.inflight);
-                sh.inv[inv as usize].req.store(req, Ordering::SeqCst);
-                drop(st);
-                self.admit(inv, req, layout);
-                return req;
-            }
-            st = sh.submit_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Install the request's private state in its slot and seed its
-    /// start tokens. The slot is exclusively ours between the free-list
-    /// pop and the injection below.
-    fn admit(&self, inv: u32, req: ReqId, layout: &MemLayout) {
-        let sh = self.sh;
-        let slot = &sh.inv[inv as usize];
-        let core = InvCore {
-            layout: layout.clone(),
-            mem: ParMemory::new(layout),
-            tags: ParTagTable::new_for(sh.tag_cap, Some(req)),
+    /// Faults injected over the whole run or session.
+    fn chaos_tallies(&self, workers: &[WorkerStats]) -> ChaosTallies {
+        let count = |f: fn(&ChaosState) -> &AtomicU64| {
+            self.chaos.as_deref().map_or(0, |c| f(c).load(Ordering::Relaxed))
         };
-        // SAFETY: exclusive slot ownership (popped from the free list,
-        // no tokens injected yet); see the `core` field protocol.
-        unsafe {
-            *slot.core.get() = Some(core);
+        ChaosTallies {
+            delays: workers.iter().map(|w| w.chaos_delays).sum(),
+            forced_steals: workers.iter().map(|w| w.chaos_forced_steals).sum(),
+            panics: count(|c| &c.panics),
+            drops: count(|c| &c.drops),
+            dups: count(|c| &c.dups),
         }
-        slot.end_seen.store(false, Ordering::SeqCst);
-        slot.fired.store(0, Ordering::SeqCst);
-        slot.merged.store(0, Ordering::SeqCst);
-        slot.processed.store(0, Ordering::SeqCst);
-        slot.macro_fires.store(0, Ordering::SeqCst);
-        slot.ops_elided.store(0, Ordering::SeqCst);
-        slot.drops.store(0, Ordering::SeqCst);
-        slot.dups.store(0, Ordering::SeqCst);
-        *lock(&slot.failed) = None;
-        slot.failed_flag.store(false, Ordering::SeqCst);
-
-        let seeds = sh.cg.dests(sh.cg.start(), 0);
-        // Live count covers the seeds *before* they become visible to
-        // workers, so a fast drain cannot underflow it.
-        slot.live.store(seeds.len() as u64, Ordering::SeqCst);
-        if seeds.is_empty() {
-            // A graph whose start feeds nothing can never reach End;
-            // classify immediately (same verdict a solo run reaches).
-            return self.sh.finalize(inv);
-        }
-        self.sched.inject_batch(seeds.iter().map(|&to| MToken {
-            to,
-            tag: TagId::ROOT,
-            inv,
-            value: 0,
-        }));
     }
 
-    /// Wait for the next finished request (any invocation — completions
-    /// are delivered in finish order, not submission order) and return
-    /// its id and result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing is outstanding: every submitted request was
-    /// already collected.
-    pub fn collect(&self) -> (ReqId, Result<ParOutcome, MachineError>) {
-        let sh = self.sh;
-        let mut st = lock(&sh.state);
-        loop {
-            if let Some(done) = st.completed.pop_front() {
-                st.collected += 1;
-                return done;
+    // -----------------------------------------------------------------
+    // Token processing
+    // -----------------------------------------------------------------
+
+    /// The scheduler body: process a batch, settling the live counts
+    /// once per run of same-invocation tokens (the whole batch on a solo
+    /// run) instead of once per token and per emission. Settling late is
+    /// safe: the run's consumed tokens stay counted until then, so the
+    /// count can only overstate the tokens that exist, and the run's
+    /// emissions are counted before the batch flush makes them visible.
+    fn run_batch(&self, ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>) {
+        let b = Batch {
+            ctx,
+            emitted: Cell::new(0),
+        };
+        let mut run: Option<(u32, u64)> = None;
+        for t in batch.drain(..) {
+            match &mut run {
+                Some((inv, n)) if *inv == t.inv => *n += 1,
+                _ => {
+                    if let Some((inv, n)) = run.replace((t.inv, 1)) {
+                        self.settle(inv, b.emitted.replace(0), n);
+                    }
+                }
             }
-            assert!(
-                st.submitted > st.collected,
-                "collect called with no outstanding requests"
-            );
-            st = sh.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            // Catch per token, not per batch: an operator panic fails
+            // its own invocation and the batch (other invocations'
+            // tokens included) continues.
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.process(&b, t))) {
+                // SAFETY: the token still holds its invocation live.
+                unsafe { self.inv[t.inv as usize].core() }.fail(MachineError::WorkerPanicked {
+                    worker: ctx.worker(),
+                    payload: render_panic(&*payload),
+                });
+            }
+        }
+        if let Some((inv, n)) = run {
+            self.settle(inv, b.emitted.replace(0), n);
         }
     }
 
-    /// Requests submitted and not yet collected.
-    pub fn outstanding(&self) -> usize {
-        let st = lock(&self.sh.state);
-        (st.submitted - st.collected) as usize
+    fn process(&self, b: &Batch<'_, '_>, t: Token) {
+        // SAFETY: this token holds the invocation live (> 0) until the
+        // batch loop settles its run.
+        let core = unsafe { self.inv[t.inv as usize].core() };
+        if core.failed_flag.load(Ordering::SeqCst) {
+            // Tombstone: the invocation already failed; its tokens drain
+            // without firing so the slot can be reclaimed and reused.
+            return;
+        }
+        let (op, port, value) = (t.to.op, t.to.port as usize, t.value);
+        let desc = self.cg.desc(op);
+        let imms = self.cg.imms(op);
+        match desc.kind {
+            CKind::LoopSwitch(loop_id) => self.loop_switch(b, core, t, loop_id),
+            _ if desc.merge_like() => {
+                self.fire(b, core, op, t.tag, FireInputs::Single { port, value })
+            }
+            _ if desc.live <= 1 => {
+                // Single live input: fires immediately, values assembled
+                // in an inline stack buffer.
+                let vals = FireVals::from_imms(imms, port, value, desc.is_hot());
+                self.fire(b, core, op, t.tag, FireInputs::Full(vals.as_slice()))
+            }
+            _ => self.join(b, core, t, t.tag, port, || SlotVals::new(imms, desc.is_hot())),
+        }
     }
-}
 
-// ---------------------------------------------------------------------
-// Token processing (the multiplexed mirror of parallel.rs's pipeline)
-// ---------------------------------------------------------------------
-
-/// What a rendezvous deposit produced.
-enum Deposit {
-    /// The slot completed; fire with these values.
-    Fire(FireVals),
-    /// Parked as a partial slot.
-    Wait,
-    /// The port was already filled — a token collision.
-    Collision,
-}
-
-fn deposit(
-    sh: &MultiShared<'_>,
-    inv: u32,
-    k: u64,
-    idx: usize,
-    value: i64,
-    mk: impl FnOnce() -> SlotVals,
-) -> Deposit {
-    let slot = &sh.inv[inv as usize];
-    let shard_idx = shard64(k, SLOT_SHARDS);
-    let mut shard = lock(&sh.slots[shard_idx]);
-    let mut inserted = false;
-    let entry = shard.entry(k).or_insert_with(|| {
-        inserted = true;
-        mk()
-    });
-    if entry.is_filled(idx) {
-        return Deposit::Collision;
-    }
-    entry.set(idx, value);
-    let complete = entry.is_complete();
-    if inserted {
-        let occupied = sh.slots_occupied.fetch_add(1, Ordering::Relaxed) + 1;
-        sh.slots_peak.fetch_max(occupied, Ordering::Relaxed);
-    }
-    if complete {
+    /// Deposit `t`'s value at index `idx` of the rendezvous slot of
+    /// `(t.to.op, invocation, tag)` — created with `mk` on first
+    /// arrival — and fire the operator if that completed the slot. An
+    /// incomplete deposit counts as `merged`; an index already filled is
+    /// a token collision.
+    fn join(
+        &self,
+        b: &Batch<'_, '_>,
+        core: &InvCore,
+        t: Token,
+        tag: TagId,
+        idx: usize,
+        mk: impl FnOnce() -> SlotVals,
+    ) {
+        let op = t.to.op;
+        let k = key_inv(op, self.split, t.inv, tag);
+        let shard_idx = shard_of(op, t.inv, tag);
+        let mut shard = lock(&self.slots[shard_idx]);
+        let mut inserted = false;
+        let entry = shard.entry(k).or_insert_with(|| {
+            inserted = true;
+            mk()
+        });
+        if entry.is_filled(idx) {
+            drop(shard);
+            let (port, tag) = (t.to.port as usize, core.tags.render(tag));
+            return core.fail(MachineError::TokenCollision { op, port, tag });
+        }
+        entry.set(idx, t.value);
+        let complete = entry.is_complete();
+        if inserted {
+            // Waiting-matching pressure: whole-table peak plus a
+            // per-shard high-water mark (exact under the shard lock).
+            let occupied = self.occupancy.now.fetch_add(1, Ordering::Relaxed) + 1;
+            self.occupancy.peak.fetch_max(occupied, Ordering::Relaxed);
+            self.slot_high[shard_idx].fetch_max(shard.len() as u64, Ordering::Relaxed);
+        }
+        if !complete {
+            drop(shard);
+            core.counts.merged.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let vals = shard.remove(&k).expect("present").into_vals();
         drop(shard);
-        sh.slots_occupied.fetch_sub(1, Ordering::Relaxed);
-        Deposit::Fire(vals)
-    } else {
-        drop(shard);
-        slot.merged.fetch_add(1, Ordering::Relaxed);
-        Deposit::Wait
+        self.occupancy.now.fetch_sub(1, Ordering::Relaxed);
+        self.fire(b, core, op, tag, FireInputs::Full(vals.as_slice()));
     }
-}
 
-fn process_one(sh: &MultiShared<'_>, ctx: &Ctx<'_, MToken>, t: MToken) {
-    let inv = t.inv;
-    let slot = &sh.inv[inv as usize];
-    if slot.failed_flag.load(Ordering::SeqCst) {
-        // Tombstone: the invocation already failed; its tokens drain
-        // without firing so the slot can be reclaimed and reused.
-        return;
-    }
-    // SAFETY: this token holds the invocation live (> 0) until the body
-    // loop decrements after we return.
-    let core = unsafe { slot.core() };
-    let op = t.to.op;
-    let port = t.to.port as usize;
-    let cg = sh.cg;
-    let desc = cg.desc(op);
-    if let CKind::LoopSwitch(loop_id) = desc.kind {
-        return deposit_loop_switch(sh, ctx, core, inv, op, port, t, loop_id);
-    }
-    if desc.merge_like() {
-        return fire_inv(
-            sh,
-            ctx,
-            core,
-            inv,
-            op,
-            t.tag,
-            FireInputs::Single {
-                port,
-                value: t.value,
+    /// A token of a fused loop-entry/switch pair: on port 0 or 1 it is
+    /// retagged exactly as the fused loop-entry would retag it (outside
+    /// → iteration 0, backedge → next iteration), then joins the
+    /// predicate in a two-value slot keyed by the *iteration* tag. The
+    /// predicate (port 2) already carries that tag and fills the other
+    /// half. The incomplete deposit counts as `merged` — the same wait
+    /// the unfused switch's rendezvous recorded — so fused and unfused
+    /// runs agree on `merged` while the loop-entry's separate firing and
+    /// output token are elided.
+    fn loop_switch(&self, b: &Batch<'_, '_>, core: &InvCore, t: Token, loop_id: LoopId) {
+        let slot_tag = match t.to.port {
+            0 => core.tags.child(t.tag, loop_id, 0),
+            1 => match core.tags.info(t.tag) {
+                Some((p, l, i)) if l == loop_id => core.tags.child(p, loop_id, i + 1),
+                other => Err(MachineError::TagMismatch {
+                    op: t.to.op,
+                    detail: format!("backedge token tagged {other:?}, expected loop {loop_id:?}"),
+                }),
             },
-        );
-    }
-    if desc.live <= 1 {
-        let vals = FireVals::from_imms(cg.imms(op), port, t.value, desc.is_hot());
-        return fire_inv(sh, ctx, core, inv, op, t.tag, FireInputs::Full(vals.as_slice()));
-    }
-    let k = key_inv(op, sh.split, inv, t.tag);
-    match deposit(sh, inv, k, port, t.value, || {
-        SlotVals::new(cg.imms(op), desc.is_hot())
-    }) {
-        Deposit::Fire(vals) => fire_inv(sh, ctx, core, inv, op, t.tag, FireInputs::Full(vals.as_slice())),
-        Deposit::Wait => {}
-        Deposit::Collision => {
-            let tag = core.tags.render(t.tag);
-            sh.fail_inv(inv, MachineError::TokenCollision { op, port, tag });
+            _ => Ok(t.tag),
+        };
+        match slot_tag {
+            Ok(tag) => self.join(b, core, t, tag, usize::from(t.to.port > 1), SlotVals::pair),
+            Err(e) => core.fail(e),
         }
     }
-}
 
-/// The fused loop-entry/switch deposit, invocation-scoped: identical
-/// retagging to [`crate::parallel`]'s, but tags come from the
-/// invocation's own interner and the rendezvous key carries the
-/// invocation bits.
-#[allow(clippy::too_many_arguments)]
-fn deposit_loop_switch(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    core: &InvCore,
-    inv: u32,
-    op: OpId,
-    port: usize,
-    t: MToken,
-    loop_id: LoopId,
-) {
-    let (slot_tag, idx) = match port {
-        0 => match core.tags.child(t.tag, loop_id, 0) {
-            Ok(nt) => (nt, 0),
-            Err(e) => return sh.fail_inv(inv, e),
-        },
-        1 => match core.tags.info(t.tag) {
-            Some((p, l, i)) if l == loop_id => match core.tags.child(p, loop_id, i + 1) {
-                Ok(nt) => (nt, 0),
-                Err(e) => return sh.fail_inv(inv, e),
-            },
-            other => {
-                return sh.fail_inv(
-                    inv,
-                    MachineError::TagMismatch {
-                        op,
-                        detail: format!(
-                            "backedge token tagged {other:?}, expected loop {loop_id:?}"
-                        ),
-                    },
-                )
+    /// Fire one operator through the shared kernel ([`fire_op`]) with
+    /// this engine's effects. First the admission hooks: spend one unit
+    /// of the *invocation's* fuel (recording
+    /// [`MachineError::FuelExhausted`] and skipping the firing once the
+    /// budget is gone), under chaos maybe panic in the operator's stead
+    /// (the panic is caught per token and fails only this invocation),
+    /// and record the firing in the trace ring. A kernel error fails the
+    /// invocation.
+    fn fire(
+        &self,
+        b: &Batch<'_, '_>,
+        core: &InvCore,
+        op: OpId,
+        tag: TagId,
+        inputs: FireInputs<'_>,
+    ) {
+        if core.counts.fired.fetch_add(1, Ordering::Relaxed) >= self.fuel {
+            return core.fail(MachineError::FuelExhausted);
+        }
+        if let Some(ch) = &self.chaos {
+            if ch.cfg.panic_prob > 0.0 && lock(&ch.rngs[b.ctx.worker()]).chance(ch.cfg.panic_prob) {
+                ch.panics.fetch_add(1, Ordering::Relaxed);
+                panic!("chaos: injected operator panic at {op:?}");
             }
+        }
+        if let Some(ring) = &self.trace {
+            ring.push(b.ctx.worker(), op, tag);
+        }
+        let mut eng = InvEngine { sh: self, b, core };
+        if let Err(e) = fire_op(self.cg, op, tag, inputs, &mut eng) {
+            core.fail(e);
+        }
+    }
+}
+
+/// The invocation's own counters. Scheduler-level quantities (the
+/// per-worker stats, the shared table's occupancy) are left empty: the
+/// workers and the table are shared across invocations, so a session
+/// reports them once in [`ServeStats`] and a solo run fills them in
+/// ([`run_threaded_compiled_pooled_with`]).
+fn inv_metrics(core: &InvCore) -> ParMetrics {
+    let c = &core.counts;
+    let merged = c.merged.load(Ordering::Relaxed);
+    ParMetrics {
+        // Every processed token of a live invocation either fired an
+        // operator or merged into a slot.
+        tokens_processed: c.fired.load(Ordering::Relaxed) + merged,
+        merged,
+        tags_created: core.tags.created(),
+        deferred_reads: core.mem.deferred_reads.load(Ordering::Relaxed),
+        deferred_read_peak: core.mem.deferred_peak.load(Ordering::Relaxed),
+        macro_fires: c.macro_fires.load(Ordering::Relaxed),
+        ops_elided: c.ops_elided.load(Ordering::Relaxed),
+        chaos: ChaosTallies {
+            drops: c.drops.load(Ordering::Relaxed),
+            dups: c.dups.load(Ordering::Relaxed),
+            ..ChaosTallies::default()
         },
-        _ => (t.tag, 1),
-    };
-    let k = key_inv(op, sh.split, inv, slot_tag);
-    match deposit(sh, inv, k, idx, t.value, SlotVals::pair) {
-        Deposit::Fire(vals) => {
-            fire_inv(sh, ctx, core, inv, op, slot_tag, FireInputs::Full(vals.as_slice()))
-        }
-        Deposit::Wait => {}
-        Deposit::Collision => {
-            let tag = core.tags.render(slot_tag);
-            sh.fail_inv(inv, MachineError::TokenCollision { op, port, tag });
-        }
+        ..ParMetrics::default()
     }
 }
 
-/// Send one output token to every destination of `(op, out_port)`. Every
-/// pushed token raises the invocation's live count *before* it becomes
-/// visible, so quiescence cannot be declared under it. There is no
-/// worker-local fast path here: batches interleave tokens of many
-/// invocations, so same-batch pairing would buy little and cost an
-/// invocation-keyed flush on every batch boundary.
-fn emit_inv(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    inv: u32,
-    op: OpId,
-    out_port: usize,
-    value: i64,
-    tag: TagId,
-) {
-    if sh.chaos.is_some() {
-        return emit_inv_chaos(sh, ctx, inv, op, out_port, value, tag);
-    }
-    let slot = &sh.inv[inv as usize];
-    for &to in sh.cg.dests(op, out_port) {
-        slot.live.fetch_add(1, Ordering::SeqCst);
-        ctx.push(MToken { to, tag, inv, value });
+/// Occupied rendezvous slots across the whole table and their peak, on
+/// a cache line of their own for the reason given on [`InvCounts`]:
+/// every slot insert and removal writes them.
+#[derive(Default)]
+#[repr(align(128))]
+struct Occupancy {
+    now: AtomicU64,
+    peak: AtomicU64,
+}
+
+/// A worker's view of the batch it is processing: the scheduler context
+/// and the tokens pushed since the live count was last settled
+/// ([`Session::settle`]).
+struct Batch<'a, 'b> {
+    ctx: &'a Ctx<'b, Token>,
+    emitted: Cell<u64>,
+}
+
+impl Batch<'_, '_> {
+    /// Push one token; it becomes visible when the batch is flushed.
+    fn push(&self, t: Token) {
+        self.emitted.set(self.emitted.get() + 1);
+        self.ctx.push(t);
     }
 }
 
-/// [`emit_inv`] with per-destination fault injection; drops and dups are
-/// charged to the emitting invocation (the drop will surface as *its*
-/// [`MachineError::TokenLeak`], nobody else's).
-#[cold]
-#[inline(never)]
-fn emit_inv_chaos(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    inv: u32,
-    op: OpId,
-    out_port: usize,
-    value: i64,
-    tag: TagId,
-) {
-    let ch = sh.chaos.as_deref().expect("checked by emit_inv");
-    let slot = &sh.inv[inv as usize];
-    for &to in sh.cg.dests(op, out_port) {
-        {
-            let mut rng = lock(&ch.rngs[ctx.worker()]);
+/// The threaded side of the shared firing kernel: operator semantics
+/// live in [`fire_op`], once, for both backends; this engine supplies
+/// the concurrent effects — emission raises the invocation's live count,
+/// memory and tags are the invocation's own, halt marks only this
+/// invocation's End.
+struct InvEngine<'a, 'b, 'c, 'g> {
+    sh: &'a Session<'g>,
+    b: &'a Batch<'b, 'c>,
+    core: &'a InvCore,
+}
+
+impl InvEngine<'_, '_, '_, '_> {
+    /// [`InvEngine::emit`] with per-destination fault injection: each
+    /// outgoing token may be dropped (vanishes — surfaced as the
+    /// emitting invocation's [`MachineError::TokenLeak`]) or duplicated.
+    /// Duplicates are only injected toward ops where the waiting-matching
+    /// store can detect them (`dup_ok`).
+    #[cold]
+    #[inline(never)]
+    fn emit_chaos(&self, op: OpId, out_port: usize, value: i64, tag: TagId) {
+        let (sh, b) = (self.sh, self.b);
+        let ch = sh.chaos.as_deref().expect("checked by emit");
+        let (inv, c) = (self.core.inv, &self.core.counts);
+        for &to in sh.cg.dests(op, out_port) {
+            let mut rng = lock(&ch.rngs[b.ctx.worker()]);
             if ch.cfg.drop_prob > 0.0 && rng.chance(ch.cfg.drop_prob) {
-                drop(rng);
                 ch.drops.fetch_add(1, Ordering::Relaxed);
-                slot.drops.fetch_add(1, Ordering::Relaxed);
+                c.drops.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            if ch.cfg.dup_prob > 0.0 && sh.cg.desc(to.op).dup_ok() && rng.chance(ch.cfg.dup_prob)
-            {
-                drop(rng);
+            if ch.cfg.dup_prob > 0.0 && sh.cg.desc(to.op).dup_ok() && rng.chance(ch.cfg.dup_prob) {
                 ch.dups.fetch_add(1, Ordering::Relaxed);
-                slot.dups.fetch_add(1, Ordering::Relaxed);
-                slot.live.fetch_add(1, Ordering::SeqCst);
-                ctx.push(MToken { to, tag, inv, value });
+                c.dups.fetch_add(1, Ordering::Relaxed);
+                b.push(Token { to, tag, inv, value });
             }
-        }
-        slot.live.fetch_add(1, Ordering::SeqCst);
-        ctx.push(MToken { to, tag, inv, value });
-    }
-}
-
-/// Admission hooks before the shared firing kernel: spend one unit of
-/// the *invocation's* fuel, and under chaos maybe panic in the
-/// operator's stead (the panic is caught per token and fails only this
-/// invocation).
-fn fire_admitted_inv(sh: &MultiShared<'_>, ctx: &Ctx<'_, MToken>, inv: u32, op: OpId) -> bool {
-    let slot = &sh.inv[inv as usize];
-    let prev = slot.fired.fetch_add(1, Ordering::Relaxed);
-    if prev >= sh.fuel {
-        sh.fail_inv(inv, MachineError::FuelExhausted);
-        return false;
-    }
-    if let Some(ch) = &sh.chaos {
-        if ch.cfg.panic_prob > 0.0 && lock(&ch.rngs[ctx.worker()]).chance(ch.cfg.panic_prob) {
-            ch.panics.fetch_add(1, Ordering::Relaxed);
-            panic!("chaos: injected operator panic at {op:?}");
+            b.push(Token { to, tag, inv, value });
         }
     }
-    true
 }
 
-/// The serving executor's side of the shared firing kernel: emission
-/// raises the invocation's live count, memory and tags are the
-/// invocation's own, halt marks only this invocation's End.
-struct ServeEngine<'a, 'b, 'g> {
-    sh: &'a MultiShared<'g>,
-    ctx: &'a Ctx<'b, MToken>,
-    core: &'a InvCore,
-    inv: u32,
-}
-
-impl Engine for ServeEngine<'_, '_, '_> {
+impl Engine for InvEngine<'_, '_, '_, '_> {
+    /// Send one output token to every destination of `(op, out_port)`.
     fn emit(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
-        emit_inv(self.sh, self.ctx, self.inv, op, out_port, value, tag);
+        // One null check per emit call; the per-destination fault draws
+        // live in the out-of-line chaos variant.
+        if self.sh.chaos.is_some() {
+            return self.emit_chaos(op, out_port, value, tag);
+        }
+        let inv = self.core.inv;
+        for &to in self.sh.cg.dests(op, out_port) {
+            self.b.push(Token { to, tag, inv, value });
+        }
     }
 
     fn halt(&mut self) {
-        // End fired for *this* invocation; neighbors keep running and
-        // the scheduler stays up for the whole session.
-        self.sh.inv[self.inv as usize]
-            .end_seen
-            .store(true, Ordering::SeqCst);
+        // End fired for *this* invocation: mark it and keep draining —
+        // the invocation finalizes when its last token is processed, so
+        // nothing is dropped, and neighbors keep running.
+        self.core.counts.end_seen.store(true, Ordering::SeqCst);
     }
 
     fn tag_child(
@@ -781,6 +857,7 @@ impl Engine for ServeEngine<'_, '_, '_> {
         op: OpId,
         tag: TagId,
     ) -> Result<Option<i64>, MemError> {
+        // Deferral accounting happens inside ParMemory.
         self.core.mem.ist_read(&self.core.layout, var, index, (op, tag))
     }
 
@@ -794,49 +871,180 @@ impl Engine for ServeEngine<'_, '_, '_> {
     }
 
     fn macro_fired(&mut self, elided: u64) {
-        let slot = &self.sh.inv[self.inv as usize];
-        slot.macro_fires.fetch_add(1, Ordering::Relaxed);
-        slot.ops_elided.fetch_add(elided, Ordering::Relaxed);
+        let c = &self.core.counts;
+        c.macro_fires.fetch_add(1, Ordering::Relaxed);
+        c.ops_elided.fetch_add(elided, Ordering::Relaxed);
     }
-}
-
-fn fire_inv(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    core: &InvCore,
-    inv: u32,
-    op: OpId,
-    tag: TagId,
-    inputs: FireInputs<'_>,
-) {
-    if !fire_admitted_inv(sh, ctx, inv, op) {
-        return;
-    }
-    let mut eng = ServeEngine { sh, ctx, core, inv };
-    if let Err(e) = fire_op(sh.cg, op, tag, inputs, &mut eng) {
-        sh.fail_inv(inv, e);
-    }
-}
-
-fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 // ---------------------------------------------------------------------
-// The session
+// The drivers
 // ---------------------------------------------------------------------
+
+/// Run the scheduler over `sh` on `pool` until it drains (a solo run) or
+/// is released (a session), bounded by the optional watchdog. A monitor
+/// thread waits on a condvar with the deadline, and the run flips `done`
+/// under the same lock on completion, so exactly one of {completed,
+/// timed out} wins. If the scheduler was halted — by the watchdog or by
+/// a panic escaping the per-token containment — every invocation still
+/// admitted is classified with that halt. A watchdog firing at the
+/// completion instant fails nobody: an invocation that already
+/// finalized keeps its verdict.
+fn drive(
+    sh: &Session<'_>,
+    sched: &Scheduler<Token>,
+    pool: &ExecutorPool,
+    watchdog: Option<Duration>,
+) -> Outcome {
+    let body = |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| sh.run_batch(ctx, batch);
+    let out = match watchdog {
+        None => sched.run_in(&pool.pool, body),
+        Some(bound) => {
+            let done = Mutex::new(false);
+            let done_cv = Condvar::new();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let guard = lock(&done);
+                    let (guard, wait) = done_cv
+                        .wait_timeout_while(guard, bound, |finished| !*finished)
+                        .unwrap_or_else(|e| e.into_inner());
+                    if wait.timed_out() && !*guard {
+                        drop(guard);
+                        sched.halt_external();
+                    }
+                });
+                let out = sched.run_in(&pool.pool, body);
+                *lock(&done) = true;
+                done_cv.notify_all();
+                out
+            })
+        }
+    };
+    if out.halted {
+        let err = match out.panicked.clone() {
+            Some((worker, payload)) => MachineError::WorkerPanicked { worker, payload },
+            None => MachineError::WatchdogTimeout {
+                millis: watchdog.map_or(0, |d| d.as_millis() as u64),
+            },
+        };
+        sh.session_death(err);
+    }
+    out
+}
+
+/// A solo run: one invocation of an already-[`compile`]d graph over
+/// `layout` on a pre-spawned [`ExecutorPool`] (the worker count is the
+/// pool's width), with limits, fault injection and the optional trace
+/// ring from `cfg`. The scheduler runs from the calling thread with no
+/// driver thread and no hold, and drains when the invocation's last
+/// token is processed.
+///
+/// Returns the verdict, the run's [`ParMetrics`] on *every* path — on
+/// success they equal `outcome.metrics`; on failure they are what the
+/// workers did up to the end, per-worker scheduler counters and the
+/// table's occupancy included, which is how a
+/// [`MachineError::WorkerPanicked`] run still reports its injected-fault
+/// tallies — and the trace ring's events (empty unless
+/// `cfg.trace_capacity` asks for a ring; returned on the failure path
+/// too, which is what it is for). The pool survives contained worker
+/// panics and stays usable for subsequent runs.
+///
+/// [`compile`]: crate::compiled::compile
+pub fn run_threaded_compiled_pooled_with(
+    cg: &CompiledGraph,
+    layout: &MemLayout,
+    pool: &ExecutorPool,
+    cfg: &ParConfig,
+) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<FireEvent>) {
+    let n_workers = pool.workers();
+    let sh = Session::new(cg, n_workers, 1, cfg, true);
+    let sched: Scheduler<Token> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
+    sh.submit(&sched, layout);
+    let out = drive(&sh, &sched, pool, cfg.watchdog);
+    let (_, result) = lock(&sh.state)
+        .completed
+        .pop_front()
+        .expect("a drained or halted run has classified its invocation");
+    // SAFETY: the scheduler stopped; nothing else reads the slot.
+    let core = unsafe { sh.inv[0].core() };
+    let metrics = ParMetrics {
+        max_pending_slots: sh.occupancy.peak.load(Ordering::Relaxed),
+        slot_shard_high_water: sh
+            .slot_high
+            .iter()
+            .map(|h| h.load(Ordering::Relaxed))
+            .collect(),
+        chaos: sh.chaos_tallies(&out.workers),
+        workers: out.workers,
+        ..inv_metrics(core)
+    };
+    let trace = sh.trace.as_ref().map_or_else(Vec::new, |ring| {
+        ring.events(|tag| core.tags.render(tag))
+    });
+    let result = result.map(|out| ParOutcome {
+        metrics: metrics.clone(),
+        ..out
+    });
+    (result, metrics, trace)
+}
+
+/// The submission side of a serving session, handed to the closure of
+/// [`serve`]. Cloneable by shared reference across threads: `submit` and
+/// `collect` are both `&self`.
+pub struct ServeHandle<'a, 'g> {
+    sh: &'a Session<'g>,
+    sched: &'a Scheduler<Token>,
+}
+
+impl ServeHandle<'_, '_> {
+    /// Admit one invocation of the session's graph over `layout`,
+    /// blocking while the admission window (`max_inflight`) is full —
+    /// the session's backpressure. Returns the request id; the result is
+    /// retrieved with [`ServeHandle::collect`]. On a dead session the
+    /// request completes immediately with the session's error.
+    pub fn submit(&self, layout: &MemLayout) -> ReqId {
+        self.sh.submit(self.sched, layout)
+    }
+
+    /// Wait for the next finished request (any invocation — completions
+    /// are delivered in finish order, not submission order) and return
+    /// its id and result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is outstanding: every submitted request was
+    /// already collected.
+    pub fn collect(&self) -> (ReqId, Result<ParOutcome, MachineError>) {
+        let sh = self.sh;
+        let mut st = lock(&sh.state);
+        loop {
+            if let Some(done) = st.completed.pop_front() {
+                st.collected += 1;
+                return done;
+            }
+            assert!(
+                st.submitted > st.collected,
+                "collect called with no outstanding requests"
+            );
+            st = sh.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Requests submitted and not yet collected.
+    pub fn outstanding(&self) -> usize {
+        let st = lock(&self.sh.state);
+        (st.submitted - st.collected) as usize
+    }
+}
 
 /// Run a serving session: up to `max_inflight` concurrent invocations of
 /// `cg` multiplexed onto `pool`'s workers. The closure `f` drives the
 /// session through its [`ServeHandle`] — submitting requests, collecting
 /// results — from the calling thread (and may hand the handle to other
-/// threads; both methods take `&self`). When `f` returns, the session
-/// waits for every admitted request to finish, shuts the workers down,
-/// and returns `f`'s value with the session-level [`ServeStats`].
+/// threads; both methods take `&self`), while a driver thread keeps the
+/// scheduler running. When `f` returns, the session waits for every
+/// admitted request to finish, shuts the workers down, and returns `f`'s
+/// value with the session-level [`ServeStats`].
 ///
 /// `cfg` is applied *per invocation* — `fuel` and `tag_cap` bound each
 /// request individually (the tag cap is additionally clamped to the
@@ -857,104 +1065,20 @@ pub fn serve<R>(
 ) -> (R, ServeStats) {
     let max_inflight = max_inflight.clamp(1, 1 << 16);
     let n_workers = pool.workers();
-    let split = TagSplit::for_inflight(max_inflight);
-    let sh = MultiShared {
-        cg,
-        split,
-        tag_cap: split.tag_cap().min(cfg.tag_cap),
-        fuel: cfg.fuel,
-        chaos: cfg.chaos.map(|c| Box::new(ChaosState::new(c, n_workers))),
-        slots: std::iter::repeat_with(|| Mutex::new(FxHashMap::default()))
-            .take(SLOT_SHARDS)
-            .collect(),
-        slots_occupied: AtomicU64::new(0),
-        slots_peak: AtomicU64::new(0),
-        inv: (0..max_inflight).map(|_| InvSlot::new()).collect(),
-        state: Mutex::new(ServeState {
-            free: (0..max_inflight as u32).rev().collect(),
-            completed: VecDeque::new(),
-            inflight: 0,
-            submitted: 0,
-            collected: 0,
-            completed_ok: 0,
-            completed_err: 0,
-            peak_inflight: 0,
-            dead: None,
-        }),
-        submit_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-    };
-
-    let sched: Scheduler<MToken> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
+    let sh = Session::new(cg, n_workers, max_inflight, cfg, false);
+    let sched: Scheduler<Token> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
     // Keep the scheduler's token population artificially nonzero for the
     // whole session: workers park between requests instead of exiting,
     // and the drain-to-zero shutdown only triggers at teardown's
     // `release`.
     sched.hold();
 
-    let body = |ctx: &Ctx<'_, MToken>, batch: &mut Vec<MToken>| {
-        for t in batch.drain(..) {
-            let inv = t.inv;
-            sh.inv[inv as usize].processed.fetch_add(1, Ordering::Relaxed);
-            // Catch per token, not per batch: an operator panic fails
-            // its own invocation and the batch (other invocations'
-            // tokens included) continues.
-            let r = catch_unwind(AssertUnwindSafe(|| process_one(&sh, ctx, t)));
-            if let Err(payload) = r {
-                sh.fail_inv(
-                    inv,
-                    MachineError::WorkerPanicked {
-                        worker: ctx.worker(),
-                        payload: render_panic(&*payload),
-                    },
-                );
-            }
-            sh.dec_live(inv);
-        }
-    };
-
-    let fired_watchdog = AtomicBool::new(false);
-    let done = Mutex::new(false);
-    let done_cv = Condvar::new();
     let (ret, outcome) = std::thread::scope(|scope| {
-        if let Some(bound) = cfg.watchdog {
-            // Same exactly-one-of-{completed, timed-out} protocol as the
-            // solo executor's watchdog.
-            let (done, done_cv, fired_watchdog, sched) =
-                (&done, &done_cv, &fired_watchdog, &sched);
-            scope.spawn(move || {
-                let guard = lock(done);
-                let (guard, wait) = done_cv
-                    .wait_timeout_while(guard, bound, |finished| !*finished)
-                    .unwrap_or_else(|e| e.into_inner());
-                if wait.timed_out() && !*guard {
-                    fired_watchdog.store(true, Ordering::SeqCst);
-                    drop(guard);
-                    sched.halt_external();
-                }
-            });
-        }
-        let driver = scope.spawn(|| {
-            let out = sched.run_in(&pool.pool, body);
-            *lock(&done) = true;
-            done_cv.notify_all();
-            if out.halted {
-                // The session died under live requests: an escaped
-                // worker panic or the watchdog. Fail everything still
-                // admitted.
-                let err = if let Some((worker, payload)) = out.panicked.clone() {
-                    MachineError::WorkerPanicked { worker, payload }
-                } else {
-                    MachineError::WatchdogTimeout {
-                        millis: cfg.watchdog.map_or(0, |d| d.as_millis() as u64),
-                    }
-                };
-                sh.session_death(err);
-            }
-            out
-        });
-
-        let handle = ServeHandle { sh: &sh, sched: &sched };
+        let driver = scope.spawn(|| drive(&sh, &sched, pool, cfg.watchdog));
+        let handle = ServeHandle {
+            sh: &sh,
+            sched: &sched,
+        };
         let ret = catch_unwind(AssertUnwindSafe(|| f(&handle)));
 
         // Teardown: wait for every admitted request to finalize (a dead
@@ -982,14 +1106,8 @@ pub fn serve<R>(
         failed: st.completed_err,
         peak_inflight: st.peak_inflight as u64,
         tokens_processed: outcome.processed,
-        max_pending_slots: sh.slots_peak.load(Ordering::Relaxed),
-        chaos: ChaosTallies {
-            delays: outcome.workers.iter().map(|w| w.chaos_delays).sum(),
-            forced_steals: outcome.workers.iter().map(|w| w.chaos_forced_steals).sum(),
-            panics: sh.chaos.as_ref().map_or(0, |c| c.panics.load(Ordering::Relaxed)),
-            drops: sh.chaos.as_ref().map_or(0, |c| c.drops.load(Ordering::Relaxed)),
-            dups: sh.chaos.as_ref().map_or(0, |c| c.dups.load(Ordering::Relaxed)),
-        },
+        max_pending_slots: sh.occupancy.peak.load(Ordering::Relaxed),
+        chaos: sh.chaos_tallies(&outcome.workers),
         workers: outcome.workers,
     };
     drop(st);
@@ -1031,44 +1149,7 @@ mod tests {
     use crate::compiled::compile;
     use crate::exec::{run, MachineConfig};
     use crate::parallel::run_threaded;
-    use cf2df_cfg::{BinOp, VarTable};
-    use cf2df_dfg::graph::ArcKind;
-    use cf2df_dfg::{Dfg, OpKind};
-
-    /// start → load x → (+41) → store x → end, with a two-input synch so
-    /// the rendezvous table sees traffic.
-    fn small_graph() -> (Dfg, MemLayout) {
-        let mut t = VarTable::new();
-        t.scalar("x");
-        let layout = MemLayout::distinct(&t);
-        let mut g = Dfg::new();
-        let s = g.add(OpKind::Start);
-        let ld = g.add(OpKind::Load { var: VarId(0) });
-        let add = g.add(OpKind::Binary { op: BinOp::Add });
-        g.set_imm(add, 1, 41);
-        let st = g.add(OpKind::Store { var: VarId(0) });
-        let e = g.add(OpKind::End { inputs: 1 });
-        g.connect(Port::new(s, 0), Port::new(ld, 0), ArcKind::Access);
-        g.connect(Port::new(ld, 0), Port::new(add, 0), ArcKind::Value);
-        g.connect(Port::new(add, 0), Port::new(st, 0), ArcKind::Value);
-        g.connect(Port::new(ld, 1), Port::new(st, 1), ArcKind::Access);
-        g.connect(Port::new(st, 0), Port::new(e, 0), ArcKind::Access);
-        (g, layout)
-    }
-
-    /// A graph that deadlocks: a two-input synch fed on one port only.
-    fn stuck_graph() -> (Dfg, MemLayout) {
-        let mut t = VarTable::new();
-        t.scalar("x");
-        let layout = MemLayout::distinct(&t);
-        let mut g = Dfg::new();
-        let s = g.add(OpKind::Start);
-        let sy = g.add(OpKind::Synch { inputs: 2 });
-        let e = g.add(OpKind::End { inputs: 1 });
-        g.connect(Port::new(s, 0), Port::new(sy, 0), ArcKind::Access);
-        g.connect(Port::new(sy, 0), Port::new(e, 0), ArcKind::Access);
-        (g, layout)
-    }
+    use crate::parallel::tests::{small_graph, stuck_graph};
 
     #[test]
     fn concurrent_requests_match_the_simulator() {
@@ -1201,5 +1282,18 @@ mod tests {
         });
         assert_eq!(stats.requests, 8);
         assert_eq!(stats.completed_ok, 8);
+    }
+
+    /// Slots that differ only in their invocation must still spread
+    /// across shards, and a solo run's shard choice walks consecutive
+    /// iteration tags across the table.
+    #[test]
+    fn slot_shards_disperse_invocation_bits() {
+        let shards: std::collections::HashSet<usize> =
+            (0..16u32).map(|inv| shard_of(OpId(3), inv, TagId(5))).collect();
+        assert!(shards.len() > 8, "only {} shards hit", shards.len());
+        let solo: std::collections::HashSet<usize> =
+            (0..SLOT_SHARDS as u32).map(|t| shard_of(OpId(3), 0, TagId(t))).collect();
+        assert_eq!(solo.len(), SLOT_SHARDS, "consecutive tags fill every shard");
     }
 }

@@ -16,6 +16,13 @@ cargo test -q --offline
 echo "==> default features must be warning-free (full build, all targets)"
 RUSTFLAGS="-Dwarnings" cargo build --workspace --all-targets --offline
 
+echo "==> frozen benchmark compiles against the workspace (perfbench/)"
+# perfbench/ is a package of its own outside the workspace; building it
+# here turns a machine API change that breaks it into a tier-1 failure
+# instead of a failed benchmark run. Its build output stays under target/.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> validate: certify corpus x schemas x optimized, + mutation slice"
 # The static translation validator must certify the full corpus matrix
 # with zero defects, and the seeded mutation harness must detect every

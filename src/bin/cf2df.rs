@@ -159,6 +159,35 @@ impl Args {
         self.rest.remove(i);
         Some(v)
     }
+
+    /// The numeric value of `name`, if given; a value that does not
+    /// parse is a usage error (exit 2), never a panic.
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.value(name).map(|v| parse_num(name, &v))
+    }
+
+    /// As [`Args::num`] for a count that must be at least 1 (worker
+    /// threads, the admission window).
+    fn count(&mut self, name: &str) -> Option<usize> {
+        self.num(name).map(|n| at_least_one(name, n))
+    }
+}
+
+/// Parse `v` as the number `name` expects, or exit 2 with the usage.
+fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{name} expects a non-negative integer, got `{v}`");
+        usage()
+    })
+}
+
+/// Reject a zero count for `name` with the usage (exit 2).
+fn at_least_one(name: &str, n: usize) -> usize {
+    if n == 0 {
+        eprintln!("{name} must be at least 1");
+        usage()
+    }
+    n
 }
 
 fn parse_schema(args: &mut Args) -> TranslateOptions {
@@ -199,15 +228,15 @@ fn parse_schema(args: &mut Args) -> TranslateOptions {
 }
 
 fn parse_machine(args: &mut Args) -> MachineConfig {
-    let mut mc = match args.value("--processors") {
-        Some(p) => MachineConfig::with_processors(p.parse().expect("numeric --processors")),
+    let mut mc = match args.num("--processors") {
+        Some(p) => MachineConfig::with_processors(p),
         None => MachineConfig::unbounded(),
     };
-    if let Some(l) = args.value("--mem-latency") {
-        mc = mc.mem_latency(l.parse().expect("numeric --mem-latency"));
+    if let Some(l) = args.num("--mem-latency") {
+        mc = mc.mem_latency(l);
     }
-    if let Some(l) = args.value("--op-latency") {
-        mc = mc.op_latency(l.parse().expect("numeric --op-latency"));
+    if let Some(l) = args.num("--op-latency") {
+        mc = mc.op_latency(l);
     }
     mc
 }
@@ -249,10 +278,7 @@ fn run_bench(quick: bool, fuse: bool, out_dir: &str) {
 fn run_fuse_check(mut args: Args) {
     use cf2df::machine::parallel::run_threaded;
 
-    let workers: usize = args
-        .value("--workers")
-        .map(|w| w.parse().expect("numeric --workers"))
-        .unwrap_or(4);
+    let workers: usize = args.count("--workers").unwrap_or(4);
     if !args.rest.is_empty() {
         eprintln!("fuse-check: unrecognized arguments {:?}", args.rest);
         usage();
@@ -362,18 +388,17 @@ struct ChaosRow {
 /// match the simulator or return a typed error; anything else is a
 /// violation and the process exits 1.
 fn run_chaos(mut args: Args) {
-    use cf2df::machine::parallel::run_threaded_pooled_with;
-    use cf2df::machine::{ChaosConfig, ExecutorPool, MachineError, ParConfig};
+    use cf2df::machine::{
+        compile, run_threaded_compiled_pooled_with, ChaosConfig, ExecutorPool, MachineError,
+        ParConfig,
+    };
 
     let quick = args.flag("--quick");
-    let seeds: u64 = args
-        .value("--seeds")
-        .map(|s| s.parse().expect("numeric --seeds"))
-        .unwrap_or(if quick { 2 } else { 8 });
+    let seeds: u64 = args.num("--seeds").unwrap_or(if quick { 2 } else { 8 });
     let workers: Vec<usize> = match args.value("--workers") {
         Some(w) => w
             .split(',')
-            .map(|x| x.parse().expect("numeric --workers list"))
+            .map(|x| at_least_one("--workers", parse_num("--workers", x)))
             .collect(),
         None if quick => vec![2, 8],
         None => vec![1, 2, 4, 8],
@@ -381,14 +406,8 @@ fn run_chaos(mut args: Args) {
     let only: Option<Vec<String>> = args
         .value("--programs")
         .map(|p| p.split(',').map(str::to_owned).collect());
-    let fuel: u64 = args
-        .value("--fuel")
-        .map(|s| s.parse().expect("numeric --fuel"))
-        .unwrap_or(50_000_000);
-    let watchdog_ms: u64 = args
-        .value("--watchdog-ms")
-        .map(|s| s.parse().expect("numeric --watchdog-ms"))
-        .unwrap_or(5_000);
+    let fuel: u64 = args.num("--fuel").unwrap_or(50_000_000);
+    let watchdog_ms: u64 = args.num("--watchdog-ms").unwrap_or(5_000);
     if !args.rest.is_empty() {
         eprintln!("chaos: unrecognized arguments {:?}", args.rest);
         usage();
@@ -459,6 +478,10 @@ fn run_chaos(mut args: Args) {
                 eprintln!("{slabel}/{name}: simulator oracle failed: {e}");
                 exit(1)
             });
+            let cg = compile(&t.dfg).unwrap_or_else(|e| {
+                eprintln!("{slabel}/{name}: compile failed: {e}");
+                exit(1)
+            });
             for (pi, (plabel, destructive, make)) in profiles.iter().enumerate() {
                 for seed in 0..seeds {
                     for (wi, &w) in workers.iter().enumerate() {
@@ -469,7 +492,7 @@ fn run_chaos(mut args: Args) {
                             ..ParConfig::default()
                         };
                         let (result, metrics, _) =
-                            run_threaded_pooled_with(&t.dfg, &layout, &pools[wi], &cfg);
+                            run_threaded_compiled_pooled_with(&cg, &layout, &pools[wi], &cfg);
                         runs += 1;
                         rows[pi].faults_injected += metrics.chaos.total();
                         let ctx = || format!("{slabel}/{name} profile={plabel} seed={seed} workers={w}");
@@ -568,18 +591,9 @@ fn run_serve(mut args: Args) {
     use cf2df::machine::{compile, ExecutorPool, ParConfig};
 
     let quick = args.flag("--quick");
-    let requests: usize = args
-        .value("--requests")
-        .map(|s| s.parse().expect("numeric --requests"))
-        .unwrap_or(if quick { 32 } else { 256 });
-    let inflight: usize = args
-        .value("--inflight")
-        .map(|s| s.parse().expect("numeric --inflight"))
-        .unwrap_or(4);
-    let workers: usize = args
-        .value("--workers")
-        .map(|s| s.parse().expect("numeric --workers"))
-        .unwrap_or(4);
+    let requests: usize = args.num("--requests").unwrap_or(if quick { 32 } else { 256 });
+    let inflight: usize = args.count("--inflight").unwrap_or(4);
+    let workers: usize = args.count("--workers").unwrap_or(4);
     let opts = parse_schema(&mut args);
     let program = if args.rest.is_empty() {
         "running_example".to_owned()
@@ -744,10 +758,7 @@ fn mutation_slice(
 fn run_validate(mut args: Args) {
     let json = args.flag("--json");
     let mutations = args.flag("--mutations");
-    let seeds: u64 = args
-        .value("--seeds")
-        .map(|s| s.parse().expect("numeric --seeds"))
-        .unwrap_or(4);
+    let seeds: u64 = args.num("--seeds").unwrap_or(4);
     let opts = parse_schema(&mut args);
     if args.rest.len() != 1 {
         eprintln!("validate takes exactly one target (a file, corpus name, or `corpus`)");

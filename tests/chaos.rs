@@ -12,8 +12,10 @@ use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::dfg::graph::ArcKind;
 use cf2df::dfg::{Dfg, OpKind, Port};
 use cf2df::lang::parse_to_cfg;
-use cf2df::machine::parallel::{run_threaded_pooled_with, run_threaded_with};
-use cf2df::machine::{run, ChaosConfig, ExecutorPool, MachineConfig, MachineError, ParConfig};
+use cf2df::machine::{
+    compile, run, run_threaded_compiled_pooled_with, ChaosConfig, ExecutorPool, FireEvent,
+    MachineConfig, MachineError, ParConfig, ParMetrics, ParOutcome,
+};
 use std::time::Duration;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -26,6 +28,17 @@ fn translated(src: &str) -> (Dfg, MemLayout, cf2df::machine::Outcome) {
     let layout = MemLayout::distinct(&t.cfg.vars);
     let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap();
     (t.dfg, layout, sim)
+}
+
+/// A solo run of `g` under `cfg` on a fresh pool of `workers` threads.
+fn run_threaded_with(
+    g: &Dfg,
+    layout: &MemLayout,
+    workers: usize,
+    cfg: &ParConfig,
+) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<FireEvent>) {
+    let cg = compile(g).unwrap();
+    run_threaded_compiled_pooled_with(&cg, layout, &ExecutorPool::new(workers), cfg)
 }
 
 fn with_watchdog(chaos: Option<ChaosConfig>) -> ParConfig {
@@ -97,19 +110,20 @@ fn injected_operator_panic_is_contained_at_every_width() {
 fn pool_survives_contained_panics_and_stays_usable() {
     quiet_chaos_panics();
     let (g, layout, sim) = translated(cf2df::lang::corpus::NESTED);
+    let cg = compile(&g).unwrap();
     let pool = ExecutorPool::new(4);
     for round in 0..3 {
         let cfg = with_watchdog(Some(ChaosConfig {
             panic_prob: 1.0,
             ..ChaosConfig::off(round)
         }));
-        let (result, _, _) = run_threaded_pooled_with(&g, &layout, &pool, &cfg);
+        let (result, _, _) = run_threaded_compiled_pooled_with(&cg, &layout, &pool, &cfg);
         assert!(
             matches!(result, Err(MachineError::WorkerPanicked { .. })),
             "round {round}: expected a contained panic"
         );
         let (clean, metrics, _) =
-            run_threaded_pooled_with(&g, &layout, &pool, &with_watchdog(None));
+            run_threaded_compiled_pooled_with(&cg, &layout, &pool, &with_watchdog(None));
         let out = clean.unwrap_or_else(|e| panic!("round {round}: clean run failed: {e}"));
         assert_eq!(out.memory, sim.memory, "round {round}");
         assert_eq!(out.fired, sim.stats.fired, "round {round}");
@@ -370,7 +384,7 @@ fn fused_graphs_survive_chaos_like_unfused_ones() {
 /// have been observed in a single session.
 #[test]
 fn serve_contains_panics_to_the_failing_invocation() {
-    use cf2df::machine::{compile, run_concurrent};
+    use cf2df::machine::run_concurrent;
 
     quiet_chaos_panics();
     let parsed = parse_to_cfg(cf2df::lang::corpus::GCD).unwrap();
@@ -446,7 +460,7 @@ fn serve_contains_panics_to_the_failing_invocation() {
 /// cleanly with the cap lifted.
 #[test]
 fn serve_attributes_tag_exhaustion_to_the_invocation() {
-    use cf2df::machine::{compile, run_concurrent};
+    use cf2df::machine::run_concurrent;
 
     let src = "
         s := 0; i := 0;

@@ -281,3 +281,41 @@ fn istructure_flag_applies() {
     // Array contents print from I-structure memory.
     assert!(stdout.contains("checksum = "), "{stdout}");
 }
+
+/// Malformed numeric flags are usage errors: exit code 2, the usage
+/// text on stderr, and no panic — whether the value does not parse, is
+/// negative, or is a zero worker count or admission window.
+#[test]
+fn malformed_numeric_flags_are_usage_errors() {
+    let cases: &[&[&str]] = &[
+        &["serve", "--inflight", "abc"],
+        &["serve", "--requests", "-1"],
+        &["serve", "--workers", "0", "--quick"],
+        &["serve", "--inflight", "0", "--quick"],
+        &["serve", "--workers", "four"],
+        &["chaos", "--quick", "--seeds", "x"],
+        &["chaos", "--quick", "--workers", "2,0"],
+        &["chaos", "--quick", "--workers", "2,y"],
+        &["chaos", "--quick", "--fuel", "-3"],
+        &["chaos", "--quick", "--watchdog-ms", "1.5"],
+        &["fuse-check", "--workers", "0"],
+        &["fuse-check", "--workers", "many"],
+        &["run", "gcd", "--processors", "abc"],
+        &["run", "gcd", "--mem-latency", "-1"],
+        &["run", "gcd", "--op-latency", "x"],
+        &["validate", "corpus", "--seeds", "nope"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cf2df"))
+            .args(*args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cf2df run-graph") && stderr.contains("cf2df serve"),
+            "{args:?}: no usage message: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -3,16 +3,39 @@
 //! every corpus program at every worker count, the trace ring must
 //! capture firings on success and failure alike, and a deadlocked graph
 //! must be reported with the partially-filled rendezvous slots that
-//! caused it — not a generic "quiesced without End" string.
+//! caused it — not a generic "quiesced without End" string. The
+//! scheduler-level fields (per-worker stats, slot-table pressure) are
+//! filled on the failure path too: the benchmark's per-layer trace
+//! reads them.
 
 use cf2df::cfg::{MemLayout, VarTable};
 use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::dfg::{ArcKind, Dfg, OpKind, Port};
 use cf2df::lang::parse_to_cfg;
-use cf2df::machine::parallel::run_threaded_traced;
-use cf2df::machine::{run_threaded, MachineError};
+use cf2df::machine::{
+    compile, run_threaded, run_threaded_compiled_pooled_with, ExecutorPool, FireEvent,
+    MachineError, ParConfig, ParOutcome,
+};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// A solo run of `g` on a fresh pool keeping the last `capacity` fire
+/// events.
+fn run_threaded_traced(
+    g: &Dfg,
+    layout: &MemLayout,
+    workers: usize,
+    capacity: usize,
+) -> (Result<ParOutcome, MachineError>, Vec<FireEvent>) {
+    let cfg = ParConfig {
+        trace_capacity: Some(capacity),
+        ..ParConfig::default()
+    };
+    let cg = compile(g).unwrap();
+    let (result, _, trace) =
+        run_threaded_compiled_pooled_with(&cg, layout, &ExecutorPool::new(workers), &cfg);
+    (result, trace)
+}
 
 /// Every processed token either fires an operator or merges into a
 /// rendezvous slot; the per-worker tallies must account for all of them.
@@ -40,22 +63,19 @@ fn metrics_are_self_consistent_across_the_corpus() {
                 by_worker, m.tokens_processed,
                 "{name} at {workers} workers: per-worker tallies account for all tokens"
             );
-            // Every token either came off a queue (popped, injected or
-            // stolen) or was one of the two halves of a worker-local
-            // fast-path join, which never transits a queue.
+            // Every token came off a queue: popped, injected or stolen.
             let sourced: u64 = m
                 .workers
                 .iter()
-                .map(|w| w.local_pops + w.injector_hits + w.steals + 2 * w.fast_path)
+                .map(|w| w.local_pops + w.injector_hits + w.steals)
                 .sum();
             assert_eq!(
                 sourced, m.tokens_processed,
                 "{name} at {workers} workers: every token came from somewhere"
             );
-            let fast: u64 = m.workers.iter().map(|w| w.fast_path).sum();
             assert_eq!(
-                fast, m.fast_path_fires,
-                "{name} at {workers} workers: fast-path total matches per-worker tallies"
+                m.fast_path_fires, 0,
+                "{name} at {workers} workers: there is no worker-local fast path"
             );
             let shard_max = m.slot_shard_high_water.iter().copied().max().unwrap_or(0);
             let shard_sum: u64 = m.slot_shard_high_water.iter().sum();
@@ -102,32 +122,45 @@ fn every_worker_processes_tokens_on_loop_nest() {
     }
 }
 
-/// The fast-path regression test: locality-aware seeding must keep the
-/// worker-local two-input rendezvous fast path alive at *every* width.
-/// (BENCH_executor.quick.json once showed `fast_path_fires` collapsing
-/// from 48 to 0 on `loop_nest` at 8 workers because round-robin seeding
-/// spread the halves of each join across different workers.)
+/// A solo run's scheduler-level metrics — one stats entry per worker,
+/// the rendezvous table's pressure — are filled on success *and* on
+/// failure. A join-heavy graph (unfused schema 2 `loop_nest`, whose
+/// loop switches all rendezvous) runs to completion, then again with
+/// half the fuel it needs, at every width.
 #[test]
-fn fast_path_fires_at_every_width_on_join_heavy_graphs() {
+fn solo_runs_report_scheduler_metrics_on_success_and_failure() {
     let src = cf2df::bench::workloads::loop_nest(3, 6);
     let parsed = parse_to_cfg(&src).unwrap();
-    // Both the original regression configuration (schema 2, unfused —
-    // the loop switches are the joins) and the shipping bench
-    // configuration (full pipeline, fused — the macros' joins remain).
-    for (label, opts) in [
-        ("schema2-unfused", TranslateOptions::schema2().with_fuse(false)),
-        ("full-fused", TranslateOptions::full_parallel_schema3()),
-    ] {
-        let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
-        let layout = MemLayout::distinct(&t.cfg.vars);
-        for workers in WORKERS {
-            let out = run_threaded(&t.dfg, &layout, workers).unwrap();
-            assert!(
-                out.metrics.fast_path_fires > 0,
-                "{label}: fast path dead at {workers} workers: {:?}",
-                out.metrics.workers
-            );
-        }
+    let opts = TranslateOptions::schema2().with_fuse(false);
+    let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
+    let layout = MemLayout::distinct(&t.cfg.vars);
+    let cg = compile(&t.dfg).unwrap();
+    for workers in WORKERS {
+        let pool = ExecutorPool::new(workers);
+        let clean = ParConfig::default();
+        let (ok, m, _) = run_threaded_compiled_pooled_with(&cg, &layout, &pool, &clean);
+        let out = ok.unwrap_or_else(|e| panic!("{workers} workers: {e}"));
+        assert_eq!(m, out.metrics, "{workers} workers: returned metrics are the outcome's");
+        assert_eq!(m.workers.len(), workers, "{workers} workers: stats per worker");
+        assert!(m.max_pending_slots > 0, "{workers} workers: slots were occupied");
+        assert_eq!(m.tokens_processed, out.fired + m.merged, "{workers} workers");
+
+        let starved = ParConfig {
+            fuel: out.fired / 2,
+            ..ParConfig::default()
+        };
+        let (err, m, _) = run_threaded_compiled_pooled_with(&cg, &layout, &pool, &starved);
+        assert_eq!(err.unwrap_err(), MachineError::FuelExhausted, "{workers} workers");
+        assert_eq!(m.workers.len(), workers, "{workers} workers: stats on failure");
+        let by_worker: u64 = m.workers.iter().map(|w| w.processed).sum();
+        assert!(by_worker > 0, "{workers} workers: the workers' tallies survive failure");
+        assert!(
+            m.max_pending_slots > 0,
+            "{workers} workers: slot pressure survives failure"
+        );
+        let shard_max = m.slot_shard_high_water.iter().copied().max().unwrap_or(0);
+        assert!(shard_max > 0 && shard_max <= m.max_pending_slots, "{workers} workers");
+        assert!(m.tokens_processed > 0, "{workers} workers");
     }
 }
 

@@ -8,13 +8,15 @@
 //! every translation level we run the deterministic simulator as the
 //! oracle and assert that the final ordinary memory, the final
 //! I-structure memory, and the number of fired operators all match at
-//! every worker count.
+//! every worker count. A one-request `serve` session — the same engine
+//! driven through its session driver — must agree with the solo run on
+//! every per-invocation counter.
 
 use cf2df::cfg::MemLayout;
 use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::lang::parse_to_cfg;
 use cf2df::machine::parallel::run_threaded;
-use cf2df::machine::{run, MachineConfig};
+use cf2df::machine::{compile, run, run_concurrent, ExecutorPool, MachineConfig, ParConfig};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -31,10 +33,35 @@ fn check_corpus(opts: &TranslateOptions, label: &str) {
         let layout = MemLayout::distinct(&t.cfg.vars);
         let sim = run(&t.dfg, &layout, MachineConfig::unbounded())
             .unwrap_or_else(|e| panic!("{label}/{name}: simulator failed: {e:?}"));
+        let cg = compile(&t.dfg).unwrap();
         for workers in WORKERS {
             let par = run_threaded(&t.dfg, &layout, workers).unwrap_or_else(|e| {
                 panic!("{label}/{name} at {workers} workers: executor failed: {e:?}")
             });
+            // The same program as a one-request serving session.
+            let pool = ExecutorPool::new(workers);
+            let (mut results, stats) =
+                run_concurrent(&cg, &layout, &pool, 1, &ParConfig::default(), 1);
+            let one = results.pop().unwrap().unwrap_or_else(|e| {
+                panic!("{label}/{name} at {workers} workers: one-request serve failed: {e:?}")
+            });
+            assert_eq!(stats.completed_ok, 1, "{label}/{name} at {workers} workers");
+            assert_eq!(
+                one.memory, par.memory,
+                "{label}/{name}: serve memory diverged from solo at {workers} workers"
+            );
+            assert_eq!(
+                one.fired, par.fired,
+                "{label}/{name}: serve fired diverged from solo at {workers} workers"
+            );
+            assert_eq!(
+                one.metrics.tokens_processed, par.metrics.tokens_processed,
+                "{label}/{name}: serve tokens diverged from solo at {workers} workers"
+            );
+            assert_eq!(
+                one.metrics.merged, par.metrics.merged,
+                "{label}/{name}: serve merged diverged from solo at {workers} workers"
+            );
             assert_eq!(
                 par.memory, sim.memory,
                 "{label}/{name}: memory diverged at {workers} workers"
@@ -140,8 +167,7 @@ fn fused_runs_match_unfused_across_the_corpus() {
 /// points produce.
 #[test]
 fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
-    use cf2df::machine::parallel::{run_threaded_compiled_pooled_with, ExecutorPool, ParConfig};
-    use cf2df::machine::{compile, run_compiled, run_threaded_compiled};
+    use cf2df::machine::{run_compiled, run_threaded_compiled_pooled_with};
 
     let schemas = [
         ("schema2-unfused", TranslateOptions::schema2().with_fuse(false)),
@@ -172,7 +198,10 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
                 assert_eq!(sim.stats, seed.stats, "{label}/{name} round {round}");
             }
             for workers in WORKERS {
-                let par = run_threaded_compiled(&cg, &layout, workers).unwrap_or_else(|e| {
+                let pool = ExecutorPool::new(workers);
+                let (res, _m, _t) =
+                    run_threaded_compiled_pooled_with(&cg, &layout, &pool, &ParConfig::default());
+                let par = res.unwrap_or_else(|e| {
                     panic!("{label}/{name} at {workers} workers: {e:?}")
                 });
                 assert_eq!(
@@ -210,9 +239,6 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
 /// on one pool.
 #[test]
 fn concurrent_submissions_match_simulator_across_the_corpus() {
-    use cf2df::machine::parallel::{ExecutorPool, ParConfig};
-    use cf2df::machine::{compile, run_concurrent};
-
     const K: usize = 4;
     let opts = TranslateOptions::full_parallel_schema3();
     for workers in WORKERS {
@@ -262,10 +288,7 @@ fn concurrent_submissions_match_simulator_across_the_corpus() {
 /// every result keeps matching its own program's oracle.
 #[test]
 fn one_pool_serves_different_graphs_without_cross_talk() {
-    use cf2df::machine::parallel::{
-        run_threaded_compiled_pooled_with, ExecutorPool, ParConfig,
-    };
-    use cf2df::machine::{compile, run_concurrent};
+    use cf2df::machine::run_threaded_compiled_pooled_with;
 
     let prep = |src: &str| {
         let parsed = parse_to_cfg(src).unwrap();
