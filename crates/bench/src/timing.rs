@@ -265,9 +265,11 @@ mod tests {
         let mut t =
             Timer::with_budgets(Duration::from_millis(5), Duration::from_millis(20)).quiet();
         let s = t.bench("spin", || {
+            // black_box inside the loop keeps the optimizer from
+            // folding the sum into a closed form.
             let mut acc = 0u64;
             for i in 0..100u64 {
-                acc = acc.wrapping_add(i * i);
+                acc = std::hint::black_box(acc.wrapping_add(i * i));
             }
             acc
         });
@@ -285,11 +287,13 @@ mod tests {
             Timer::with_budgets(Duration::from_millis(5), Duration::from_millis(30)).quiet();
         let spin = |turns: u64| {
             move || {
+                // black_box inside the loop keeps the optimizer from
+                // folding the sum into a closed form, which would make
+                // both arms cost the same.
                 let mut acc = 0u64;
                 for i in 0..turns {
-                    acc = acc.wrapping_add(i * i);
+                    acc = std::hint::black_box(acc.wrapping_add(i * i));
                 }
-                std::hint::black_box(acc);
             }
         };
         let mut fast = spin(100);

@@ -83,8 +83,11 @@ pub struct WorkerStats {
     pub local_pops: u64,
     /// Tasks taken from the global injector.
     pub injector_hits: u64,
-    /// Tasks stolen from a sibling's queue (tasks, not steal operations —
-    /// a single steal-half grabs many).
+    /// Tasks a steal from a sibling's queue put straight into this
+    /// worker's batch (tasks, not steal operations). A steal takes half
+    /// the victim's queue; the part beyond one batch moves to this
+    /// worker's own queue and is counted when it is taken from there, so
+    /// `local_pops + injector_hits + steals == processed`.
     pub steals: u64,
     /// Idle episodes in which the worker blocked on the condvar.
     pub parks: u64,

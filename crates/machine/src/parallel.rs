@@ -69,8 +69,8 @@ pub struct ParConfig {
     /// spinning forever on a runaway cyclic graph. `u64::MAX` means
     /// unlimited.
     pub fuel: u64,
-    /// Wall-clock bound: a monitor thread halts the scheduler when the
-    /// run exceeds it, and the run returns
+    /// Wall-clock bound: the thread waiting for the workers halts the
+    /// scheduler when the run exceeds it, and the run returns
     /// [`MachineError::WatchdogTimeout`]. `None` means no watchdog.
     pub watchdog: Option<Duration>,
     /// Capacity of the bounded fire-event ring ([`FireEvent`]); `None`

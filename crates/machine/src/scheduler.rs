@@ -8,50 +8,47 @@
 //! tasks in one queue synchronization, runs the whole batch, and flushes
 //! every task the batch produced back onto its queue in a single push —
 //! one lock acquisition and one pair of counter updates per batch
-//! instead of per task. A dry worker drains the global injector, then
-//! steals *half* of a sibling's queue — but only from queues at least
-//! [`STEAL_MIN`] deep. Shallow queues mark a narrow, mostly serial task
-//! chain; robbing them migrates the chain between workers (trashing
-//! locality) without buying any parallelism. A queue holding fewer tasks
-//! than the floor keeps them for its owner.
+//! instead of per task. Work enters from outside through the injector
+//! ([`Scheduler::inject_batch`]); a dry worker drains it, then steals
+//! the oldest *half* of the first sibling queue holding at least two
+//! tasks — the last task of a queue always stays with its owner.
 //!
-//! Work enters from outside through the injector
-//! ([`Scheduler::inject_batch`]), which every worker drains before it
-//! steals. Narrow graphs never fill queues past the steal floor, so
-//! extra workers would otherwise sleep through the whole run. The
-//! *donation* path fixes start-up distribution explicitly: while some
-//! worker has never been given work (not donated to, never ran a batch),
-//! each flush hands one produced task directly into that worker's queue
-//! and wakes it. Each worker is donated to at most once, and a single
-//! counter load in the flush fast path prices the steady state — once
-//! every worker has run, donations cost nothing at all.
+//! A dry worker parks on a `Condvar` behind an *event count*: a would-be
+//! sleeper snapshots `wake_epoch`, re-checks the queues, and only blocks
+//! while the epoch is unchanged. Producers bump the epoch when a flush
+//! leaves their queue at or above [`WAKE_THRESHOLD`] (so sub-threshold
+//! dribbles of work never pay a syscall — the owner will run them), on
+//! external injection, and on halt/quiescence. A missed sub-threshold
+//! wakeup is therefore harmless by construction: the only worker that
+//! can observe it is parked, and the task's owner is awake and will
+//! process it. Nothing guarantees that every worker runs: on a narrow
+//! graph whose queues stay short, one worker may process every task
+//! while its siblings sleep.
 //!
-//! Idle workers spin briefly, then park on a `Condvar` behind an
-//! *event count*: a would-be sleeper snapshots `wake_epoch`, re-checks
-//! the queues, and only blocks while the epoch is unchanged. Producers
-//! bump the epoch when a flush leaves their queue at or above
-//! [`WAKE_THRESHOLD`] (so sub-threshold dribbles of work never pay a
-//! syscall — the owner will run them), on external injection, and on
-//! halt/quiescence. A missed sub-threshold wakeup is therefore
-//! harmless by construction: the only worker that can observe it is
-//! parked, and the task's owner is awake and will process it.
+//! The two policy constants, [`BATCH`] and [`WAKE_THRESHOLD`], each
+//! carry the source-to-result benchmark measurement (`perfbench/`,
+//! EXPERIMENTS.md C14) that keeps them; a policy whose removal moves no
+//! benchmark median does not belong here.
 //!
 //! Shutdown is **explicit**:
 //!
 //! * a task pushed onto a queue is never dropped: it is either processed,
 //!   or still countable in a queue when [`Scheduler::run_in`] returns
-//!   after an explicit [`Ctx::halt`] (the caller sees the count in
+//!   after a halt — [`Scheduler::halt_external`], a contained panic or
+//!   the run's watchdog (the caller sees the count in
 //!   [`Outcome::leftover`]);
-//! * with no halt requested, workers only exit when the in-flight count
-//!   reaches zero, so `run_in` returning with `leftover == 0` is a
-//!   *guarantee*, checked by a debug assertion, not a race.
+//! * with no halt, workers only exit when the in-flight count reaches
+//!   zero, so `run_in` returning with `leftover == 0` is a *guarantee*,
+//!   checked by a debug assertion, not a race.
 //!
 //! The workers are the OS threads of a [`WorkerPool`], kept alive across
 //! runs: spawning a thread costs tens of microseconds, which dominates
 //! sub-millisecond graph executions and is exactly the overhead that
 //! made adding workers *slow the executor down*. A pool is created
 //! once, parks its threads between runs, and executes one
-//! [`Scheduler::run_in`] per job.
+//! [`Scheduler::run_in`] per job. The thread that called `run_in` blocks
+//! until the workers finish; it is also the watchdog, halting the run
+//! itself when the deadline passes first.
 //!
 //! The scheduler knows nothing about dataflow; it moves opaque `T`s. The
 //! machine semantics (rendezvous, firing, memory) live in
@@ -63,20 +60,21 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Maximum tasks taken (and bodies run) per queue synchronization.
+/// Measured on perfbench (2 vCPUs, EXPERIMENTS.md C14): uncapped, the
+/// exec_wide median latency fell to 0.58x, but serve_small's p90 latency
+/// rose to 1.25x and its throughput fell to 0.85x — a long batch of one
+/// request holds its worker while others wait.
 pub const BATCH: usize = 32;
 /// A flush that leaves the worker's queue at or above this length bumps
-/// the wake epoch so parked siblings come steal.
+/// the wake epoch so parked siblings come steal. Measured on perfbench
+/// (2 vCPUs, EXPERIMENTS.md C14): at 1 — a wake on every flush — the
+/// exec_narrow median latency rose 2.6x (47.7 against 18.1 ms); woken
+/// siblings take the narrow chain's few tokens from the worker that
+/// produced them.
 pub const WAKE_THRESHOLD: usize = 16;
-/// Bounded spin iterations before a dry worker parks.
-const SPIN_TRIES: u32 = 64;
-/// Minimum victim queue depth for stealing. Shallow queues are the
-/// signature of a narrow (mostly serial) task chain: stealing one or
-/// two tasks from them migrates the chain between workers — destroying
-/// the producer's cache locality — without creating any real
-/// parallelism.
-pub const STEAL_MIN: usize = 4;
 
 /// Lock, recovering the guard if a panicking worker poisoned it: every
 /// structure the executor guards stays valid between its updates, and
@@ -91,10 +89,10 @@ pub struct Outcome {
     /// Tasks fully processed.
     pub processed: u64,
     /// Tasks still sitting in run queues when the workers exited. Zero
-    /// unless [`Ctx::halt`] cut execution short.
+    /// unless a halt cut execution short.
     pub leftover: u64,
-    /// Whether [`Ctx::halt`] was called (including the implicit halt a
-    /// contained panic performs).
+    /// Whether the run was halted: by [`Scheduler::halt_external`], by
+    /// the watchdog of [`Scheduler::run_in`], or by a contained panic.
     pub halted: bool,
     /// The first worker panic contained this run: `(worker index,
     /// rendered payload)`. A panicking batch halts the whole scheduler,
@@ -132,19 +130,6 @@ pub struct Scheduler<T> {
     /// Mirror of the sleeper count, readable without the park lock, so
     /// the flush fast path skips the lock entirely while nobody sleeps.
     sleeper_count: AtomicUsize,
-    /// Per-worker "has ever been given work" flags: set by a donation or
-    /// by the worker's own first processed batch. While any
-    /// worker is unfed, flushes *donate* one produced task straight into
-    /// its (empty) queue and wake it — a bounded start-up hand-off that
-    /// guarantees work distribution even on narrow graphs whose queues
-    /// never reach [`WAKE_THRESHOLD`]. A donated singleton sits below
-    /// the steal floor, so the recipient itself must process it before
-    /// the system can quiesce — "every worker runs" is deterministic.
-    fed: Vec<AtomicBool>,
-    /// How many `fed` flags are still unset; the flush fast path reads
-    /// this single counter (zero once every worker has run a batch) to
-    /// skip the donation scan entirely.
-    unfed: AtomicUsize,
     stop: AtomicBool,
     processed: AtomicU64,
     /// First contained worker panic: `(worker, rendered payload)`.
@@ -157,11 +142,9 @@ pub struct Scheduler<T> {
     park: Park,
 }
 
-/// Handle given to the task body: push follow-up work, request shutdown.
-/// Produced tasks are buffered and flushed to the worker's queue once
-/// per batch.
-pub struct Ctx<'s, T> {
-    sched: &'s Scheduler<T>,
+/// Handle given to the task body: push follow-up work. Produced tasks
+/// are buffered and flushed to the worker's queue once per batch.
+pub struct Ctx<T> {
     /// Index of the worker running this batch; its queue takes the
     /// flushes.
     worker: usize,
@@ -180,8 +163,6 @@ impl<T: Send> Scheduler<T> {
             queued: AtomicUsize::new(0),
             wake_epoch: AtomicU64::new(0),
             sleeper_count: AtomicUsize::new(0),
-            fed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            unfed: AtomicUsize::new(n),
             stop: AtomicBool::new(false),
             processed: AtomicU64::new(0),
             panic: Mutex::new(None),
@@ -205,14 +186,6 @@ impl<T: Send> Scheduler<T> {
     /// Number of worker queues.
     pub fn workers(&self) -> usize {
         self.queues.len()
-    }
-
-    /// Record that worker `w` has been given work (a donation or its own
-    /// first batch), retiring it as a donation target.
-    fn mark_fed(&self, w: usize) {
-        if !self.fed[w].swap(true, Ordering::SeqCst) {
-            self.unfed.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 
     /// Inject a group of tasks from outside the worker pool (before or
@@ -272,10 +245,11 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Take up to [`BATCH`] tasks for worker `w` in one synchronization:
-    /// own queue (newest — LIFO), then the injector, then *half* of the
-    /// first sibling queue holding at least [`STEAL_MIN`] tasks. Returns
-    /// how many tasks landed in `batch`; tallies the source into
-    /// `stats`.
+    /// own queue (newest — LIFO), then the injector, then the oldest
+    /// *half* of the first sibling queue holding at least two tasks.
+    /// Returns how many tasks landed in `batch`; tallies their source
+    /// into `stats` (a stolen surplus beyond the batch is tallied when it
+    /// is later popped or stolen again).
     ///
     /// With `force_steal` (fault injection), the order is inverted —
     /// injector, then steal, then the worker's *own* queue as the
@@ -317,18 +291,19 @@ impl<T: Send> Scheduler<T> {
             let victim = (w + i) % n;
             let mut stolen: VecDeque<T> = {
                 let mut q = lock(&self.queues[victim]);
-                if q.len() < STEAL_MIN {
+                // Half of a lone task is none: the last task of a queue
+                // belongs to its owner.
+                let half = q.len() / 2;
+                if half == 0 {
                     continue;
                 }
-                let half = q.len() / 2;
                 // The *oldest* half — the classic split that keeps
                 // stolen work coarse and leaves the victim its hot tail.
                 let rest = q.split_off(half);
                 std::mem::replace(&mut *q, rest)
             };
-            let total = stolen.len();
-            stats.steals += total as u64;
-            let k = total.min(BATCH);
+            let k = stolen.len().min(BATCH);
+            stats.steals += k as u64;
             for _ in 0..k {
                 batch.push(stolen.pop_front().expect("len checked"));
             }
@@ -369,59 +344,38 @@ impl<T: Send> Scheduler<T> {
 
     /// Flush the batch's produced tasks onto worker `w`'s queue in one
     /// push; bump the wake epoch when the queue crosses the wake
-    /// threshold and somebody is parked. While some worker has never run
-    /// a batch, one task is donated straight to it instead (see
-    /// `virgin`).
-    fn flush(&self, ctx: &Ctx<'_, T>) {
+    /// threshold and somebody is parked.
+    fn flush(&self, ctx: &Ctx<T>) {
         let mut buf = ctx.buf.borrow_mut();
         let m = buf.len();
         if m == 0 {
             return;
         }
         self.pending.fetch_add(m, Ordering::SeqCst);
-        let donated = self.unfed.load(Ordering::SeqCst) > 0 && self.donate(ctx, &mut buf);
         let qlen = {
             let mut q = lock(&self.queues[ctx.worker]);
             q.extend(buf.drain(..));
             q.len()
         };
         self.queued.fetch_add(m, Ordering::SeqCst);
-        if donated {
-            self.wake(true);
-        } else if qlen >= WAKE_THRESHOLD && self.sleeper_count.load(Ordering::SeqCst) > 0 {
+        if qlen >= WAKE_THRESHOLD && self.sleeper_count.load(Ordering::SeqCst) > 0 {
             self.wake(false);
         }
-    }
-
-    /// Hand one freshly produced task to the first worker that has never
-    /// been given any (not donated to, never ran a batch). Bounded: each
-    /// worker is donated to at most once, and the single `unfed` counter
-    /// load in [`Scheduler::flush`] short-circuits the whole path —
-    /// including this scan of plain atomic flags, which touches no queue
-    /// locks — the moment every worker is fed.
-    fn donate(&self, ctx: &Ctx<'_, T>, buf: &mut Vec<T>) -> bool {
-        for (v, flag) in self.fed.iter().enumerate() {
-            if v == ctx.worker || flag.load(Ordering::SeqCst) {
-                continue;
-            }
-            lock(&self.queues[v]).push_back(buf.pop().expect("flush checked buf is non-empty"));
-            self.mark_fed(v);
-            return true;
-        }
-        false
     }
 
     /// Run `body` over every task on the threads of `pool` (whose width
     /// must match the queue count) until the system drains or halts.
     ///
-    /// `body` receives a [`Ctx`] (for pushing follow-up tasks and
-    /// requesting a halt) and a batch of tasks, which it must fully
-    /// drain. Workers exit when (a) `Ctx::halt` was called, or (b)
-    /// `pending` reaches zero — every pushed task was processed and none
-    /// can ever appear again.
-    pub fn run_in<F>(&self, pool: &WorkerPool, body: F) -> Outcome
+    /// `body` receives a [`Ctx`] (for pushing follow-up tasks) and a
+    /// batch of tasks, which it must fully drain. Workers exit when (a)
+    /// the run is halted, or (b) `pending` reaches zero — every pushed
+    /// task was processed and none can ever appear again. With a
+    /// `watchdog`, the calling thread — blocked here until the workers
+    /// exit anyway — halts the run itself if they are still working when
+    /// the bound expires.
+    pub fn run_in<F>(&self, pool: &WorkerPool, watchdog: Option<Duration>, body: F) -> Outcome
     where
-        F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
         T: Send,
     {
         assert_eq!(
@@ -432,10 +386,14 @@ impl<T: Send> Scheduler<T> {
         let body = &body;
         let slots: Vec<Mutex<Option<WorkerStats>>> =
             (0..self.queues.len()).map(|_| Mutex::new(None)).collect();
-        let escaped = pool.run(&|w| {
-            let stats = self.worker_loop(w, body);
-            *lock(&slots[w]) = Some(stats);
-        });
+        let halt = || self.halt_external();
+        let escaped = pool.run(
+            &|w| {
+                let stats = self.worker_loop(w, body);
+                *lock(&slots[w]) = Some(stats);
+            },
+            watchdog.map(|bound| (bound, &halt as &dyn Fn())),
+        );
         if escaped {
             // A panic escaped `worker_loop` itself (body panics are
             // contained inside it): record a generic report so the run
@@ -489,10 +447,9 @@ impl<T: Send> Scheduler<T> {
         self.halt_external();
     }
 
-    /// Request a stop from outside any worker (watchdog expiry, external
-    /// cancellation): the same semantics as [`Ctx::halt`], without
-    /// needing a `Ctx`. Queued tasks stay in place and are reported in
-    /// [`Outcome::leftover`].
+    /// Request an immediate stop (watchdog expiry, a contained panic):
+    /// all workers exit as soon as they observe the flag; queued tasks
+    /// stay in place and are reported in [`Outcome::leftover`].
     pub fn halt_external(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.wake(true);
@@ -500,16 +457,14 @@ impl<T: Send> Scheduler<T> {
 
     fn worker_loop<F>(&self, w: usize, body: &F) -> WorkerStats
     where
-        F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
     {
         let ctx = Ctx {
-            sched: self,
             worker: w,
             buf: RefCell::new(Vec::new()),
         };
         let mut stats = WorkerStats::default();
         let mut batch: Vec<T> = Vec::with_capacity(BATCH);
-        let mut first_batch = true;
         let mut chaos = self
             .chaos
             .map(|c| (c, ChaosRng::for_worker(c.seed, w)));
@@ -531,13 +486,6 @@ impl<T: Send> Scheduler<T> {
             }
             let k = self.fill_batch(w, &mut batch, &mut stats, force_steal);
             if k > 0 {
-                if first_batch {
-                    // A worker that found work on its own (e.g. via the
-                    // injector) needs no donation; the guard is a local
-                    // bool, so the steady state pays nothing.
-                    first_batch = false;
-                    self.mark_fed(w);
-                }
                 stats.batches += 1;
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     body(&ctx, &mut batch)
@@ -570,19 +518,7 @@ impl<T: Send> Scheduler<T> {
                 }
                 continue;
             }
-            // Found nothing. Spin briefly — another worker may be about
-            // to flush — then park on the epoch snapshot.
-            let mut spun = 0u32;
-            while spun < SPIN_TRIES {
-                if self.stop.load(Ordering::SeqCst)
-                    || self.pending.load(Ordering::SeqCst) == 0
-                    || self.wake_epoch.load(Ordering::SeqCst) != epoch
-                {
-                    break;
-                }
-                std::hint::spin_loop();
-                spun += 1;
-            }
+            // Found nothing: park on the epoch snapshot.
             let mut sleepers = lock(&self.park.sleepers);
             if self.wake_epoch.load(Ordering::SeqCst) != epoch {
                 continue; // missed signal — retake a look at the queues
@@ -634,22 +570,14 @@ pub(crate) fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-impl<T: Send> Ctx<'_, T> {
+impl<T: Send> Ctx<T> {
     /// Push a follow-up task. It is buffered and lands on the current
     /// worker's queue at the end of the batch, in one synchronization
     /// with everything else the batch produced. Never fails, never
-    /// drops: the task is processed unless the whole run is explicitly
-    /// halted first.
+    /// drops: the task is processed unless the whole run is halted
+    /// first.
     pub fn push(&self, t: T) {
         self.buf.borrow_mut().push(t);
-    }
-
-    /// Request an immediate stop: all workers exit as soon as they
-    /// observe the flag; queued tasks are left in place and reported in
-    /// [`Outcome::leftover`].
-    pub fn halt(&self) {
-        self.sched.stop.store(true, Ordering::SeqCst);
-        self.sched.wake(true);
     }
 
     /// Index of the worker running the current batch.
@@ -734,10 +662,17 @@ impl WorkerPool {
     }
 
     /// Run `job(w)` once on every pool worker `w`, blocking until all
-    /// have finished. Returns whether any worker's job panicked (the
+    /// have finished. With a `watchdog` `(bound, expire)`, `expire` is
+    /// called once from this thread if workers are still running `bound`
+    /// after dispatch (it must make them finish); the wait then goes on
+    /// without a deadline. Returns whether any worker's job panicked (the
     /// panic is contained by the pool thread, which survives for the
     /// next job; the caller decides how to surface the failure).
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> bool {
+    pub fn run(
+        &self,
+        job: &(dyn Fn(usize) + Sync),
+        watchdog: Option<(Duration, &dyn Fn())>,
+    ) -> bool {
         // SAFETY: we erase the borrow's lifetime to hand the pointer to
         // the long-lived pool threads. The pointer is dereferenced only
         // by workers executing this epoch, and this function does not
@@ -753,12 +688,27 @@ impl WorkerPool {
         st.job = Some(Job(erased as *const _));
         st.remaining = self.handles.len();
         self.shared.start.notify_all();
+        // A bound too far out for an `Instant` never expires.
+        let mut deadline =
+            watchdog.and_then(|(bound, expire)| Some((Instant::now().checked_add(bound)?, expire)));
         while st.remaining > 0 {
-            st = self
-                .shared
-                .done
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = match deadline {
+                None => self.shared.done.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some((at, expire)) => match at.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => {
+                        let waited = self.shared.done.wait_timeout(st, left);
+                        waited.unwrap_or_else(|e| e.into_inner()).0
+                    }
+                    _ => {
+                        // Expired with workers still running: stop them,
+                        // then wait for them to finish.
+                        drop(st);
+                        expire();
+                        deadline = None;
+                        lock(&self.shared.state)
+                    }
+                },
+            };
         }
         st.job = None;
         std::mem::take(&mut st.panicked)
@@ -824,21 +774,20 @@ mod tests {
     /// Run `sched` to completion on a fresh pool of its width.
     fn run<T: Send>(
         sched: &Scheduler<T>,
-        body: impl Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
+        body: impl Fn(&Ctx<T>, &mut Vec<T>) + Sync,
     ) -> Outcome {
-        sched.run_in(&WorkerPool::new(sched.workers()), body)
+        sched.run_in(&WorkerPool::new(sched.workers()), None, body)
     }
 
     /// Place `tasks` round-robin straight onto the worker queues (task
-    /// `i` on queue `i % n`), marking each receiving worker fed — the
-    /// start-up state a caller gets by distributing its initial tasks
-    /// itself instead of through the injector.
+    /// `i` on queue `i % n`) — the start-up state a caller gets by
+    /// distributing its initial tasks itself instead of through the
+    /// injector.
     fn seed<T: Send>(sched: &Scheduler<T>, tasks: impl IntoIterator<Item = T>) {
         let n = sched.queues.len();
         let mut count = 0usize;
         for (i, t) in tasks.into_iter().enumerate() {
             lock(&sched.queues[i % n]).push_back(t);
-            sched.mark_fed(i % n);
             count += 1;
         }
         sched.pending.fetch_add(count, Ordering::SeqCst);
@@ -846,8 +795,8 @@ mod tests {
     }
 
     fn for_each<T: Send>(
-        body: impl Fn(&Ctx<'_, T>, T) + Sync,
-    ) -> impl Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync {
+        body: impl Fn(&Ctx<T>, T) + Sync,
+    ) -> impl Fn(&Ctx<T>, &mut Vec<T>) + Sync {
         move |ctx, batch| {
             for t in batch.drain(..) {
                 body(ctx, t);
@@ -927,14 +876,45 @@ mod tests {
     fn halt_stops_early_and_accounts_for_leftovers() {
         let sched: Scheduler<u64> = Scheduler::new(2);
         sched.inject_batch(0..100);
-        let out = run(&sched, for_each(|ctx, v| {
+        let out = run(&sched, for_each(|_, v| {
             if v == 0 {
-                ctx.halt();
+                sched.halt_external();
             }
         }));
         assert!(out.halted);
         // Every injected task is accounted for: processed or leftover.
         assert_eq!(out.processed + out.leftover, 100);
+    }
+
+    /// The watchdog halts a run that outlives its bound — a task chain
+    /// that never ends — and leaves a run that finishes in time alone.
+    #[test]
+    fn watchdog_halts_only_a_run_that_outlives_its_bound() {
+        let pool = WorkerPool::new(2);
+        let endless: Scheduler<u32> = Scheduler::new(2);
+        endless.inject_batch([0]);
+        let out = endless.run_in(
+            &pool,
+            Some(Duration::from_millis(20)),
+            for_each(|ctx, v| ctx.push(v + 1)),
+        );
+        assert!(out.halted, "an endless run must be halted: {out:?}");
+        assert!(out.panicked.is_none());
+
+        let (d, sched) = (6u32, Scheduler::<u32>::new(2));
+        sched.inject_batch([d]);
+        let out = sched.run_in(
+            &pool,
+            Some(Duration::from_secs(60)),
+            for_each(|ctx, n| {
+                if n > 0 {
+                    ctx.push(n - 1);
+                    ctx.push(n - 1);
+                }
+            }),
+        );
+        assert!(!out.halted, "a run inside its bound is not halted");
+        assert_eq!((out.processed, out.leftover), ((1 << (d + 1)) - 1, 0));
     }
 
     #[test]
@@ -1046,12 +1026,15 @@ mod tests {
         let k = sched.fill_batch(1, &mut batch, &mut stats, false);
         // Worker 1 stole half the queue (50): one batch in hand, the
         // surplus relocated to its own queue.
-        assert_eq!(stats.steals, 50);
+        assert_eq!(stats.steals, k as u64);
         assert_eq!(k, BATCH.min(50));
         assert_eq!(lock(&sched.queues[0]).len(), 50);
         assert_eq!(lock(&sched.queues[1]).len(), 50 - k);
         // The oldest tasks were taken, in order.
         assert_eq!(batch[0], 0);
+        // The relocated surplus is counted once, when its new owner pops it.
+        sched.pop_own(1, &mut Vec::new(), &mut stats);
+        assert_eq!(stats.steals + stats.local_pops, 50);
 
         // A singleton queue is not a steal target.
         let lone: Scheduler<u32> = Scheduler::new(2);
@@ -1096,32 +1079,6 @@ mod tests {
         });
     }
 
-    /// A narrow serial chain (one task in flight at a time) never fills
-    /// any queue past the steal floor, so without donations every
-    /// unseeded worker would park at start-up and sleep through the
-    /// whole run. The donation path must feed each of them at least one
-    /// task — and a donated singleton cannot be stolen, so "every worker
-    /// processed something" is deterministic, not probabilistic.
-    #[test]
-    fn starving_workers_are_fed_by_donation() {
-        let workers = 8;
-        let sched: Scheduler<u32> = Scheduler::new(workers);
-        seed(&sched, [10_000u32]);
-        let out = run(&sched, for_each(|ctx, n| {
-            if n > 0 {
-                ctx.push(n - 1);
-            }
-        }));
-        assert_eq!(out.processed, 10_001);
-        assert_eq!(out.leftover, 0);
-        for (w, s) in out.workers.iter().enumerate() {
-            assert!(
-                s.processed > 0,
-                "worker {w} was never fed on a narrow chain: {out:?}"
-            );
-        }
-    }
-
     /// A held scheduler idles (workers park, nothing exits) across gaps
     /// between injected batches, drains everything injected while held,
     /// and only quiesces after the release — the serving-loop protocol.
@@ -1160,9 +1117,12 @@ mod tests {
         assert_eq!(pool.workers(), 4);
         for round in 0..3 {
             let hits: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-            let panicked = pool.run(&|w| {
-                hits[w].fetch_add(1, Ordering::Relaxed);
-            });
+            let panicked = pool.run(
+                &|w| {
+                    hits[w].fetch_add(1, Ordering::Relaxed);
+                },
+                None,
+            );
             assert!(!panicked);
             for (w, h) in hits.iter().enumerate() {
                 assert_eq!(
@@ -1179,16 +1139,22 @@ mod tests {
     #[test]
     fn pool_survives_a_panicking_job() {
         let pool = WorkerPool::new(4);
-        let panicked = pool.run(&|w| {
-            if w == 2 {
-                panic!("injected");
-            }
-        });
+        let panicked = pool.run(
+            &|w| {
+                if w == 2 {
+                    panic!("injected");
+                }
+            },
+            None,
+        );
         assert!(panicked, "the panic must be reported");
         let hits: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        let panicked = pool.run(&|w| {
-            hits[w].fetch_add(1, Ordering::Relaxed);
-        });
+        let panicked = pool.run(
+            &|w| {
+                hits[w].fetch_add(1, Ordering::Relaxed);
+            },
+            None,
+        );
         assert!(!panicked);
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1, "pool still runs every worker");
@@ -1274,6 +1240,7 @@ mod tests {
             sched.inject_batch([(d, 1)]);
             let out = sched.run_in(
                 &pool,
+                None,
                 for_each(|ctx, (dd, v): (u32, u64)| {
                     if dd == 0 {
                         total.fetch_add(v, Ordering::Relaxed);

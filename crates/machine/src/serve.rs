@@ -539,7 +539,7 @@ impl<'g> Session<'g> {
     /// safe: the run's consumed tokens stay counted until then, so the
     /// count can only overstate the tokens that exist, and the run's
     /// emissions are counted before the batch flush makes them visible.
-    fn run_batch(&self, ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>) {
+    fn run_batch(&self, ctx: &Ctx<Token>, batch: &mut Vec<Token>) {
         let b = Batch {
             ctx,
             emitted: Cell::new(0),
@@ -570,7 +570,7 @@ impl<'g> Session<'g> {
         }
     }
 
-    fn process(&self, b: &Batch<'_, '_>, t: Token) {
+    fn process(&self, b: &Batch<'_>, t: Token) {
         // SAFETY: this token holds the invocation live (> 0) until the
         // batch loop settles its run.
         let core = unsafe { self.inv[t.inv as usize].core() };
@@ -604,7 +604,7 @@ impl<'g> Session<'g> {
     /// a token collision.
     fn join(
         &self,
-        b: &Batch<'_, '_>,
+        b: &Batch<'_>,
         core: &InvCore,
         t: Token,
         tag: TagId,
@@ -654,7 +654,7 @@ impl<'g> Session<'g> {
     /// the unfused switch's rendezvous recorded — so fused and unfused
     /// runs agree on `merged` while the loop-entry's separate firing and
     /// output token are elided.
-    fn loop_switch(&self, b: &Batch<'_, '_>, core: &InvCore, t: Token, loop_id: LoopId) {
+    fn loop_switch(&self, b: &Batch<'_>, core: &InvCore, t: Token, loop_id: LoopId) {
         let slot_tag = match t.to.port {
             0 => core.tags.child(t.tag, loop_id, 0),
             1 => match core.tags.info(t.tag) {
@@ -680,14 +680,7 @@ impl<'g> Session<'g> {
     /// (the panic is caught per token and fails only this invocation),
     /// and record the firing in the trace ring. A kernel error fails the
     /// invocation.
-    fn fire(
-        &self,
-        b: &Batch<'_, '_>,
-        core: &InvCore,
-        op: OpId,
-        tag: TagId,
-        inputs: FireInputs<'_>,
-    ) {
+    fn fire(&self, b: &Batch<'_>, core: &InvCore, op: OpId, tag: TagId, inputs: FireInputs<'_>) {
         if core.counts.fired.fetch_add(1, Ordering::Relaxed) >= self.fuel {
             return core.fail(MachineError::FuelExhausted);
         }
@@ -747,12 +740,12 @@ struct Occupancy {
 /// A worker's view of the batch it is processing: the scheduler context
 /// and the tokens pushed since the live count was last settled
 /// ([`Session::settle`]).
-struct Batch<'a, 'b> {
-    ctx: &'a Ctx<'b, Token>,
+struct Batch<'a> {
+    ctx: &'a Ctx<Token>,
     emitted: Cell<u64>,
 }
 
-impl Batch<'_, '_> {
+impl Batch<'_> {
     /// Push one token; it becomes visible when the batch is flushed.
     fn push(&self, t: Token) {
         self.emitted.set(self.emitted.get() + 1);
@@ -765,13 +758,13 @@ impl Batch<'_, '_> {
 /// the concurrent effects — emission raises the invocation's live count,
 /// memory and tags are the invocation's own, halt marks only this
 /// invocation's End.
-struct InvEngine<'a, 'b, 'c, 'g> {
+struct InvEngine<'a, 'b, 'g> {
     sh: &'a Session<'g>,
-    b: &'a Batch<'b, 'c>,
+    b: &'a Batch<'b>,
     core: &'a InvCore,
 }
 
-impl InvEngine<'_, '_, '_, '_> {
+impl InvEngine<'_, '_, '_> {
     /// [`InvEngine::emit`] with per-destination fault injection: each
     /// outgoing token may be dropped (vanishes — surfaced as the
     /// emitting invocation's [`MachineError::TokenLeak`]) or duplicated.
@@ -800,7 +793,7 @@ impl InvEngine<'_, '_, '_, '_> {
     }
 }
 
-impl Engine for InvEngine<'_, '_, '_, '_> {
+impl Engine for InvEngine<'_, '_, '_> {
     /// Send one output token to every destination of `(op, out_port)`.
     fn emit(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
         // One null check per emit call; the per-destination fault draws
@@ -882,44 +875,21 @@ impl Engine for InvEngine<'_, '_, '_, '_> {
 // ---------------------------------------------------------------------
 
 /// Run the scheduler over `sh` on `pool` until it drains (a solo run) or
-/// is released (a session), bounded by the optional watchdog. A monitor
-/// thread waits on a condvar with the deadline, and the run flips `done`
-/// under the same lock on completion, so exactly one of {completed,
-/// timed out} wins. If the scheduler was halted — by the watchdog or by
-/// a panic escaping the per-token containment — every invocation still
-/// admitted is classified with that halt. A watchdog firing at the
-/// completion instant fails nobody: an invocation that already
-/// finalized keeps its verdict.
+/// is released (a session), bounded by the optional watchdog. The
+/// calling thread, blocked until the workers finish, keeps the deadline
+/// and halts the scheduler itself if the workers are still running when
+/// it passes ([`Scheduler::run_in`]). If the scheduler was halted — by
+/// the watchdog or by a panic escaping the per-token containment —
+/// every invocation still admitted is classified with that halt. A
+/// watchdog firing at the completion instant fails nobody: an
+/// invocation that already finalized keeps its verdict.
 fn drive(
     sh: &Session<'_>,
     sched: &Scheduler<Token>,
     pool: &ExecutorPool,
     watchdog: Option<Duration>,
 ) -> Outcome {
-    let body = |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| sh.run_batch(ctx, batch);
-    let out = match watchdog {
-        None => sched.run_in(&pool.pool, body),
-        Some(bound) => {
-            let done = Mutex::new(false);
-            let done_cv = Condvar::new();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let guard = lock(&done);
-                    let (guard, wait) = done_cv
-                        .wait_timeout_while(guard, bound, |finished| !*finished)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if wait.timed_out() && !*guard {
-                        drop(guard);
-                        sched.halt_external();
-                    }
-                });
-                let out = sched.run_in(&pool.pool, body);
-                *lock(&done) = true;
-                done_cv.notify_all();
-                out
-            })
-        }
-    };
+    let out = sched.run_in(&pool.pool, watchdog, |ctx, batch| sh.run_batch(ctx, batch));
     if out.halted {
         let err = match out.panicked.clone() {
             Some((worker, payload)) => MachineError::WorkerPanicked { worker, payload },

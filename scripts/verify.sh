@@ -13,6 +13,12 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> unit tests of the scheduler and the timing harness, release profile"
+# Every benchmark runs release builds, and some faults show only there:
+# a steal counted twice once a steal took more than one batch, and a
+# timing test whose spin loop the optimizer folded into a closed form.
+cargo test --release --offline -q -p cf2df-machine -p cf2df-bench
+
 echo "==> default features must be warning-free (full build, all targets)"
 RUSTFLAGS="-Dwarnings" cargo build --workspace --all-targets --offline
 

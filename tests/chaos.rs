@@ -287,6 +287,59 @@ fn runaway_graph_is_bounded_by_the_watchdog() {
     );
 }
 
+/// A serving session of the spin graph is bounded by its watchdog: every
+/// admitted request fails with `WatchdogTimeout`, a request submitted to
+/// the dead session fails at once with the same error, `serve` returns,
+/// and the same pool then serves a terminating graph exactly.
+#[test]
+fn serve_session_is_bounded_by_the_watchdog() {
+    use cf2df::machine::{run_concurrent, serve};
+
+    let (g, layout) = spin_graph();
+    let cg = compile(&g).unwrap();
+    let pool = ExecutorPool::new(4);
+    let cfg = ParConfig {
+        watchdog: Some(Duration::from_millis(100)),
+        ..ParConfig::default()
+    };
+    let timeout = MachineError::WatchdogTimeout { millis: 100 };
+    let started = std::time::Instant::now();
+    let ((admitted, late, late_wait), stats) = serve(&cg, &pool, 4, &cfg, |h| {
+        for _ in 0..4 {
+            h.submit(&layout);
+        }
+        let admitted: Vec<_> = (0..4).map(|_| h.collect().1).collect();
+        let asked = std::time::Instant::now();
+        h.submit(&layout);
+        let late = h.collect().1;
+        (admitted, late, asked.elapsed())
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "watchdog-bounded session took {:?}",
+        started.elapsed()
+    );
+    for (i, res) in admitted.into_iter().enumerate() {
+        let err = res.expect_err("a spinning request cannot finish");
+        assert_eq!(err, timeout, "request {i}");
+    }
+    assert_eq!(late.expect_err("the session is dead"), timeout);
+    assert!(
+        late_wait < Duration::from_secs(1),
+        "a request to a dead session must fail at once, took {late_wait:?}"
+    );
+    assert_eq!((stats.requests, stats.failed, stats.completed_ok), (5, 5, 0));
+
+    let (g, layout, sim) = translated(cf2df::lang::corpus::GCD);
+    let cg = compile(&g).unwrap();
+    let (clean, cstats) = run_concurrent(&cg, &layout, &pool, 4, &with_watchdog(None), 4);
+    assert_eq!(cstats.completed_ok, 4, "clean session after the watchdog death");
+    for res in clean {
+        let out = res.unwrap();
+        assert_eq!((out.memory, out.fired), (sim.memory.clone(), sim.stats.fired));
+    }
+}
+
 /// Benign chaos (delays + forced steals) perturbs only the *schedule*:
 /// over the whole corpus, at every width, results must stay bit-for-bit
 /// equal to the simulator.

@@ -99,29 +99,6 @@ fn metrics_are_self_consistent_across_the_corpus() {
     }
 }
 
-/// The no-steal pathology regression test: on the largest bench
-/// workload, round-robin seeding plus steal-half must give *every*
-/// worker real work. (BENCH_executor.json once showed siblings with
-/// `processed: 0, steals: 0, parks: 0` at 2–8 workers because the lone
-/// injector queue fed only worker 0.)
-#[test]
-fn every_worker_processes_tokens_on_loop_nest() {
-    let src = cf2df::bench::workloads::loop_nest(3, 6);
-    let parsed = parse_to_cfg(&src).unwrap();
-    let t = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
-    let layout = MemLayout::distinct(&t.cfg.vars);
-    for workers in [2, 4] {
-        let out = run_threaded(&t.dfg, &layout, workers).unwrap();
-        for (i, w) in out.metrics.workers.iter().enumerate() {
-            assert!(
-                w.processed > 0,
-                "worker {i}/{workers} processed nothing: {:?}",
-                out.metrics.workers
-            );
-        }
-    }
-}
-
 /// A solo run's scheduler-level metrics — one stats entry per worker,
 /// the rendezvous table's pressure — are filled on success *and* on
 /// failure. A join-heavy graph (unfused schema 2 `loop_nest`, whose
